@@ -14,6 +14,7 @@ base64url without padding (see :mod:`skyvault.wire`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -52,6 +53,11 @@ _SEAL_INFO = b"skyvault-seal-v1"
 # Curve constants for mapping Ed25519 public points onto Curve25519.
 _P = 2**255 - 19
 _D = (-121665 * pow(121666, _P - 2, _P)) % _P
+
+# Recipients whose X25519 key stays cached. The map is pure Python and
+# costs more than the rest of a seal, and a server seals to the same
+# few accounts over and over. 64 bytes of key per entry.
+_X_PUBLIC_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,13 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
     return KeyPair(public_key=public, private_key=seed)
 
 
+@functools.lru_cache(maxsize=_X_PUBLIC_CACHE_SIZE)
 def _ed_public_to_x_public(ed_public: bytes) -> bytes:
     """Map an Ed25519 public key to the equivalent X25519 public key.
 
     Decompresses the Edwards point and applies u = (1+y)/(1-y); matches
-    libsodium's crypto_sign_ed25519_pk_to_curve25519.
+    libsodium's crypto_sign_ed25519_pk_to_curve25519. Results are cached
+    per key; a key that raises is not cached and raises on every call.
     """
     if len(ed_public) != KEY_SIZE:
         raise BadKeyLength(f"public key must be {KEY_SIZE} bytes, got {len(ed_public)}")

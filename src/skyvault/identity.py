@@ -8,8 +8,9 @@ are single-use and expire; every transaction-facing call is gated on a
 session token issued here.
 
 The store is a single serialized state: concurrent requests apply one
-at a time. A logical clock is injected so expiry is deterministic under
-test.
+at a time. Sealing a challenge's nonce is the one slow step, and it runs
+outside the lock. A logical clock is injected so expiry is deterministic
+under test.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hmac
 import os
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,7 +72,7 @@ class Account:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenge:
     """Outstanding login challenge; ``nonce`` stays server-side until solved."""
 
@@ -82,7 +84,7 @@ class Challenge:
     ttl_seconds: int = CHALLENGE_TTL_DEFAULT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionToken:
     token: bytes
     account_id: str
@@ -121,7 +123,10 @@ class IdentityService:
         self._session_ttl = session_ttl
         self._lock = threading.Lock()
         self._accounts: dict[str, Account] = {}
-        self._challenges: dict[bytes, Challenge] = {}
+        # In issue order, so expired challenges sit at the front. An
+        # OrderedDict reaches its first entry in O(1); a dict rescans
+        # the holes its front deletions leave.
+        self._challenges: OrderedDict[bytes, Challenge] = OrderedDict()
         self._sessions: dict[bytes, SessionToken] = {}
 
     # -- registration and login ------------------------------------------
@@ -145,18 +150,29 @@ class IdentityService:
             return account
 
     def begin_auth(self, id: str) -> Challenge:
-        """Issue a fresh challenge: a random nonce sealed to the account's key."""
+        """Issue a fresh challenge: a random nonce sealed to the account's key.
+
+        Also drops the challenges that expired unanswered, oldest first,
+        so the table holds only live ones.
+        """
+        account = self.get_account(id)
+        # Accounts are never removed, so the one read above stays valid
+        # while the seal runs without the lock.
+        nonce = os.urandom(NONCE_SIZE)
+        sealed_nonce = seal(account.public_key, nonce)
         with self._lock:
-            account = self._accounts.get(id)
-            if account is None:
-                raise UnknownId(f"no such account: {id}")
-            nonce = os.urandom(NONCE_SIZE)
+            now = self._clock()
+            while self._challenges:
+                oldest = next(iter(self._challenges.values()))
+                if now <= oldest.issued_at + oldest.ttl_seconds:
+                    break
+                del self._challenges[oldest.challenge_id]
             challenge = Challenge(
                 challenge_id=os.urandom(CHALLENGE_ID_SIZE),
-                account_id=id,
+                account_id=account.id,
                 nonce=nonce,
-                sealed_nonce=seal(account.public_key, nonce),
-                issued_at=self._clock(),
+                sealed_nonce=sealed_nonce,
+                issued_at=now,
                 ttl_seconds=self._challenge_ttl,
             )
             self._challenges[challenge.challenge_id] = challenge
@@ -212,8 +228,10 @@ class IdentityService:
             return list(self._accounts.values())
 
     def sessions(self) -> list[SessionToken]:
+        """The unexpired sessions: what is worth persisting."""
         with self._lock:
-            return list(self._sessions.values())
+            now = self._clock()
+            return [s for s in self._sessions.values() if now <= s.expires_at]
 
     def restore_account(self, account: Account):
         """Load a persisted account; duplicate ids still raise."""

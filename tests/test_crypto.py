@@ -143,6 +143,24 @@ class TestKeypair:
                 serialization.Encoding.Raw, serialization.PublicFormat.Raw)
             assert crypto._ed_public_to_x_public(kp.public_key) == ladder
 
+    def test_edwards_map_cache_matches_uncached(self, rng):
+        for _ in range(50):
+            public = generate_keypair(seed=rng.randbytes(32)).public_key
+            # The first call fills the cache and the second reads it.
+            assert crypto._ed_public_to_x_public(public) == \
+                crypto._ed_public_to_x_public.__wrapped__(public)
+            assert crypto._ed_public_to_x_public(public) == \
+                crypto._ed_public_to_x_public.__wrapped__(public)
+
+    def test_edwards_map_failures_not_cached(self):
+        not_a_point = b"\xff" * 32  # y >= p once the sign bit is masked
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                crypto._ed_public_to_x_public(not_a_point)
+        for _ in range(2):
+            with pytest.raises(BadKeyLength):
+                crypto._ed_public_to_x_public(b"\x01" * 31)
+
 
 class TestSeal:
     def test_round_trip_32_bytes(self, rng):

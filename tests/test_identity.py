@@ -85,6 +85,34 @@ class TestBeginAuth:
         b = service.begin_auth("alice")
         assert a.nonce != b.nonce and a.challenge_id != b.challenge_id
 
+    def test_expired_challenges_swept(self, service, alice, clock):
+        service.register("alice", "hunter2abc", alice.public_key)
+        for _ in range(2000):
+            service.begin_auth("alice")
+        clock.advance(121)
+        live = service.begin_auth("alice")
+        assert list(service._challenges) == [live.challenge_id]
+        response = solve_challenge(
+            live.sealed_nonce, alice.private_key,
+            digest_of_credential("alice", "hunter2abc"))
+        assert service.complete_auth(live.challenge_id, response).account_id == "alice"
+
+    def test_sweep_keeps_unexpired_challenges(self, service, alice, clock):
+        service.register("alice", "hunter2abc", alice.public_key)
+        old = service.begin_auth("alice")
+        clock.advance(120)  # old is at the last second of its ttl
+        service.begin_auth("alice")
+        assert old.challenge_id in service._challenges
+        response = solve_challenge(
+            old.sealed_nonce, alice.private_key,
+            digest_of_credential("alice", "hunter2abc"))
+        assert service.complete_auth(old.challenge_id, response).account_id == "alice"
+
+    def test_challenge_shares_stored_account_id(self, service, alice):
+        account = service.register("alice", "hunter2abc", alice.public_key)
+        challenge = service.begin_auth("".join(["ali", "ce"]))
+        assert challenge.account_id is account.id
+
 
 class TestCompleteAuth:
     def test_correct_response_yields_session(self, service, alice):

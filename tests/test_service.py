@@ -1,7 +1,9 @@
 """HTTP identity service: protocol completion and status mapping."""
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -168,3 +170,58 @@ class TestEndpoints:
             t.join()
         assert statuses.count(200) == 1
         assert statuses.count(409) == 7
+
+    def test_non_integer_content_length_400(self, server):
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            conn.putrequest("POST", "/register")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert json.loads(resp.read())["error"] == "bad_request"
+            # The body's end is unknown, so the server hangs up.
+            assert conn.sock.recv(1) == b""
+        finally:
+            conn.close()
+
+
+class TestKeepAlive:
+    def test_kept_alive_requests_do_not_stall(self, server):
+        # Headers and body in separate writes would let Nagle's algorithm
+        # hold each body until the client's delayed ACK: about 40 ms a
+        # request, so at least 1 s for these 25.
+        register(server)
+        body = json.dumps({"id": "alice-consumer"})
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(25):
+                conn.request("POST", "/auth/begin", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.5
+
+    def test_concurrent_logins(self, server):
+        tokens = {}
+
+        def hit(i):
+            status, body = full_login(server, id=f"user-{i:03d}")
+            if status == 200:
+                tokens[i] = body["token"]
+
+        threads = [threading.Thread(target=hit, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert sorted(tokens) == list(range(8))
+        for i, token in tokens.items():
+            assert call(server, "GET", "/session/" + token) == \
+                (200, {"account_id": f"user-{i:03d}"})

@@ -3,7 +3,7 @@
 import pytest
 
 from skyvault.crypto import derive_credential, digest, generate_keypair
-from skyvault.errors import BadConfig, StateMissing, UnknownLicense
+from skyvault.errors import BadConfig, InvalidToken, StateMissing, UnknownLicense
 from skyvault.identity import IdentityService, solve_challenge
 from skyvault.ledger import append_block
 from skyvault.licensing import KeyRules, Rights, issue_license
@@ -72,6 +72,30 @@ class TestStateDirectory:
         assert reloaded.identity.get_account("alice-consumer").public_key == \
             keypair.public_key
         assert reloaded.identity.validate_session(session.token) == "alice-consumer"
+
+    def test_expired_sessions_not_persisted(self, state, clock):
+        world = load_world(state.root, clock=clock)
+
+        def login(id):
+            keypair = generate_keypair()
+            world.identity.register(id, "sturdy password", keypair.public_key)
+            challenge = world.identity.begin_auth(id)
+            response = solve_challenge(
+                challenge.sealed_nonce, keypair.private_key,
+                derive_credential(id, "sturdy password").verifier)
+            return world.identity.complete_auth(challenge.challenge_id, response).token
+
+        alice = login("alice-consumer")
+        clock.advance(3000)
+        bob = login("bob-consumer")
+        clock.advance(700)  # past alice's 3600-s session, inside bob's
+        save_world(world)
+
+        assert [s.token for s in state.load_sessions()] == [bob]
+        reloaded = load_world(state.root, clock=clock)
+        assert reloaded.identity.validate_session(bob) == "bob-consumer"
+        with pytest.raises(InvalidToken):
+            reloaded.identity.validate_session(alice)
 
     def test_network_round_trip(self, state, rng):
         world = load_world(state.root)
