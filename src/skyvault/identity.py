@@ -112,6 +112,12 @@ def solve_challenge(sealed_nonce: Envelope, private_key: bytes, verifier: Digest
     return digest(nonce + verifier.value)
 
 
+def _drop_expired(table: OrderedDict, expires_at: Callable, now: int):
+    """Pop entries from the oldest end up to the first one still live."""
+    while table and now > expires_at(next(iter(table.values()))):
+        table.popitem(last=False)
+
+
 class IdentityService:
     """Account, challenge, and session store behind one lock."""
 
@@ -123,11 +129,11 @@ class IdentityService:
         self._session_ttl = session_ttl
         self._lock = threading.Lock()
         self._accounts: dict[str, Account] = {}
-        # In issue order, so expired challenges sit at the front. An
+        # Both in issue order, so expired entries sit at the front. An
         # OrderedDict reaches its first entry in O(1); a dict rescans
         # the holes its front deletions leave.
         self._challenges: OrderedDict[bytes, Challenge] = OrderedDict()
-        self._sessions: dict[bytes, SessionToken] = {}
+        self._sessions: OrderedDict[bytes, SessionToken] = OrderedDict()
 
     # -- registration and login ------------------------------------------
 
@@ -162,11 +168,7 @@ class IdentityService:
         sealed_nonce = seal(account.public_key, nonce)
         with self._lock:
             now = self._clock()
-            while self._challenges:
-                oldest = next(iter(self._challenges.values()))
-                if now <= oldest.issued_at + oldest.ttl_seconds:
-                    break
-                del self._challenges[oldest.challenge_id]
+            _drop_expired(self._challenges, lambda c: c.issued_at + c.ttl_seconds, now)
             challenge = Challenge(
                 challenge_id=os.urandom(CHALLENGE_ID_SIZE),
                 account_id=account.id,
@@ -182,7 +184,8 @@ class IdentityService:
         """Check the response and trade the challenge for a session.
 
         The challenge is consumed whatever the outcome: replays and
-        mismatched responses both burn it.
+        mismatched responses both burn it. Also drops the sessions that
+        expired, oldest first, so the table holds only live ones.
         """
         with self._lock:
             challenge = self._challenges.pop(challenge_id, None)
@@ -200,6 +203,7 @@ class IdentityService:
                 account_id=challenge.account_id,
                 expires_at=now + self._session_ttl,
             )
+            _drop_expired(self._sessions, lambda s: s.expires_at, now)
             self._sessions[session.token] = session
             return session
 

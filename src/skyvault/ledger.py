@@ -28,6 +28,7 @@ that do not self-agree.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from dataclasses import dataclass
@@ -85,15 +86,7 @@ class Transaction:
         ])
 
     def to_bytes(self) -> bytes:
-        return pack_fields([
-            self.consumer_key_fingerprint.value,
-            self.provider_key_fingerprint.value,
-            self.content_commitment.value,
-            self.secret_commitment.value,
-            u64(self.timestamp),
-            self.signature,
-            self.tx_id.value,
-        ])
+        return self.body_bytes() + pack_fields([self.signature, self.tx_id.value])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":
@@ -116,24 +109,18 @@ def make_transaction(provider: KeyPair, consumer_public: bytes,
                      content_commitment: Digest, secret_commitment: Digest,
                      timestamp: int) -> Transaction:
     """Build and sign a transaction; identities appear only as key digests."""
-    consumer_fp = digest(consumer_public)
-    provider_fp = digest(provider.public_key)
-    body = pack_fields([
-        consumer_fp.value,
-        provider_fp.value,
-        content_commitment.value,
-        secret_commitment.value,
-        u64(timestamp),
-    ])
-    return Transaction(
-        consumer_key_fingerprint=consumer_fp,
-        provider_key_fingerprint=provider_fp,
+    unsigned = Transaction(
+        consumer_key_fingerprint=digest(consumer_public),
+        provider_key_fingerprint=digest(provider.public_key),
         content_commitment=content_commitment,
         secret_commitment=secret_commitment,
         timestamp=timestamp,
-        signature=sign(provider.private_key, body),
-        tx_id=digest(body),
+        signature=b"",
+        tx_id=Digest(b"\x00" * 32),
     )
+    body = unsigned.body_bytes()
+    return dataclasses.replace(unsigned, signature=sign(provider.private_key, body),
+                               tx_id=digest(body))
 
 
 @dataclass(frozen=True)
@@ -155,17 +142,9 @@ class Block:
                                   self.timestamp, self.nonce)
 
     def to_bytes(self) -> bytes:
-        fields = [
-            u64(self.height),
-            self.prev_hash,
-            self.tx_root.value,
-            u64(self.timestamp),
-            u64(self.nonce),
-            self.block_hash.value,
-            u64(len(self.transactions)),
-        ]
-        fields += [tx.to_bytes() for tx in self.transactions]
-        return pack_fields(fields)
+        return self.header_bytes() + pack_fields(
+            [self.block_hash.value, u64(len(self.transactions))]
+            + [tx.to_bytes() for tx in self.transactions])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Block":
@@ -312,10 +291,6 @@ class Chain:
     def transaction(self, tx_id: Digest) -> Transaction:
         height, position = self.find(tx_id)
         return self.blocks[height].transactions[position]
-
-
-def prove_inclusion(chain: Chain, tx_id: Digest) -> tuple[int, int]:
-    return chain.find(tx_id)
 
 
 def confirm_secret(chain: Chain, tx_id: Digest, secret_block_bytes: bytes) -> bool:

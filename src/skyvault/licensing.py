@@ -29,8 +29,9 @@ Canonical byte layouts (field framing per :mod:`skyvault.wire`):
   block_hash = digest over the packed six following fields and
   auth_info = digest(session token octets ‖ utf8(consumer_id)).
 
-The use counter is local evaluator state: it rides along in the JSON
-rendering but is excluded from the canonical record and the hash.
+The use counter is local evaluator state: it is persisted beside the
+canonical record (see :mod:`skyvault.state`) but is excluded from the
+record and the hash.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .errors import (
 from .identity import Account, IdentityService, SessionToken
 from .ledger import Chain, Transaction, make_transaction
 from .storage import SkyLink, StorageNetwork
-from .wire import b64u, b64u_decode, pack_fields, read_u64, u64, unpack_fields
+from .wire import pack_fields, read_u64, u64, unpack_fields
 
 LICENSE_ID_SIZE = 16
 UNLIMITED_USES = (1 << 64) - 1
@@ -123,24 +124,6 @@ class KeyRules:
             offline_allowed=bool(read_u64(fields[3])),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "not_before": self.not_before,
-            "not_after": self.not_after,
-            "max_uses": self.max_uses,
-            "offline_allowed": self.offline_allowed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KeyRules":
-        max_uses = data["max_uses"]
-        return cls(
-            not_before=int(data["not_before"]),
-            not_after=int(data["not_after"]),
-            max_uses=None if max_uses is None else int(max_uses),
-            offline_allowed=bool(data["offline_allowed"]),
-        )
-
 
 @dataclass(frozen=True)
 class Rights:
@@ -166,13 +149,6 @@ class Rights:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Rights":
         return cls(frozenset(f.decode("utf-8") for f in unpack_fields(data)))
-
-    def to_json(self) -> list:
-        return sorted(self.allowed_actions)
-
-    @classmethod
-    def from_json(cls, data: list) -> "Rights":
-        return cls(frozenset(data))
 
 
 @dataclass(eq=False)
@@ -236,41 +212,6 @@ class License:
             raise ValueError("license hash does not recompute")
         if consumer_fingerprint(lic.consumer_id, lic.content_id) != lic.consumer_fingerprint:
             raise ValueError("consumer fingerprint does not recompute")
-        return lic
-
-    def to_json(self) -> dict:
-        return {
-            "license_id": self.license_id.hex(),
-            "consumer_id": self.consumer_id,
-            "consumer_public_key": b64u(self.consumer_public_key),
-            "content_id": self.content_id.hex,
-            "enveloped_content_key": b64u(self.enveloped_content_key.to_bytes()),
-            "key_rules": self.key_rules.to_json(),
-            "rights": self.rights.to_json(),
-            "consumer_fingerprint": self.consumer_fingerprint.hex,
-            "issued_at": self.issued_at,
-            "license_hash": self.license_hash.hex,
-            "uses_consumed": self.uses_consumed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "License":
-        lic = cls(
-            license_id=bytes.fromhex(data["license_id"]),
-            consumer_id=data["consumer_id"],
-            consumer_public_key=b64u_decode(data["consumer_public_key"]),
-            content_id=Digest.from_hex(data["content_id"]),
-            enveloped_content_key=Envelope.from_bytes(
-                b64u_decode(data["enveloped_content_key"])),
-            key_rules=KeyRules.from_json(data["key_rules"]),
-            rights=Rights.from_json(data["rights"]),
-            consumer_fingerprint=Digest.from_hex(data["consumer_fingerprint"]),
-            issued_at=int(data["issued_at"]),
-            license_hash=Digest.from_hex(data["license_hash"]),
-            uses_consumed=int(data.get("uses_consumed", 0)),
-        )
-        if lic.compute_hash() != lic.license_hash:
-            raise ValueError("license hash does not recompute")
         return lic
 
 

@@ -121,6 +121,10 @@ def _handler_class(identity: IdentityService):
                 self.close_connection = True
                 raise _BadRequest("Content-Length is not an integer") from None
             if length <= 0 or length > _MAX_BODY:
+                if length != 0:
+                    # The body's bytes stay unread, so they must not be
+                    # read as the next request.
+                    self.close_connection = True
                 raise _BadRequest("missing or oversized request body")
             try:
                 payload = json.loads(self.rfile.read(length))

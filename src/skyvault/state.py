@@ -9,7 +9,7 @@ Layout under the state root::
     hosts/<host_id>/<hex>       ciphertext fragments, named by digest
     manifests/<hex>.manifest    canonical manifests, named by skylink digest
     chain.log                   append-only checksummed block records
-    licenses/<hex>.json         licenses, named by license id
+    licenses/<hex>.json         canonical license record (hex) + use counter
     secrets/<hex>.secret        sealed secret blocks, named by tx id
     catalog.json                published titles -> skylinks
     keys/<id>.json              client-side keypairs
@@ -224,18 +224,20 @@ class StateDirectory:
     # -- licenses and secrets ------------------------------------------------
 
     def save_license(self, license: License):
+        """The canonical record as hex, beside the use counter it excludes."""
+        payload = {"license": license.canonical_bytes().hex(),
+                   "uses_consumed": license.uses_consumed}
         path = self.licenses_dir / f"{license.license_id.hex()}.json"
-        path.write_text(json.dumps(license.to_json(), indent=2), encoding="utf-8")
+        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
     def load_license(self, license_id: bytes) -> License:
         path = self.licenses_dir / f"{license_id.hex()}.json"
         if not path.is_file():
             raise UnknownLicense(f"no license {license_id.hex()}")
-        return License.from_json(json.loads(path.read_text(encoding="utf-8")))
+        return _read_license(path)
 
     def load_licenses(self) -> list[License]:
-        return [License.from_json(json.loads(path.read_text(encoding="utf-8")))
-                for path in sorted(self.licenses_dir.glob("*.json"))]
+        return [_read_license(path) for path in sorted(self.licenses_dir.glob("*.json"))]
 
     def save_secret(self, tx_id_hex: str, sealed_bytes: bytes):
         (self.secrets_dir / f"{tx_id_hex}.secret").write_bytes(sealed_bytes)
@@ -294,6 +296,13 @@ class StateDirectory:
     def clear_login(self):
         if self.session_path.is_file():
             self.session_path.unlink()
+
+
+def _read_license(path: Path) -> License:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    license = License.from_canonical_bytes(bytes.fromhex(payload["license"]))
+    license.uses_consumed = int(payload["uses_consumed"])
+    return license
 
 
 @dataclass

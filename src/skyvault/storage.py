@@ -2,11 +2,14 @@
 
 Files are split into fixed-size chunks, each encrypted with a per-file
 key and stored on R distinct live hosts (round-robin from chunk index
-mod live-host count). Hosts only ever hold ciphertext fragments keyed by
-their digest. The file key is derived deterministically from the
-uploader's private key and the file digest, so the same uploader
-re-uploading the same bytes lands on the same skylink; the key also
-travels inside the manifest sealed to the uploader.
+mod live-host count). ``build_manifest`` alone turns a file into
+chunks, a manifest and a skylink: ``upload`` is built on it and places
+the chunks, and ``verify_skylink`` rebuilds it to compare. Hosts only
+ever hold ciphertext fragments keyed by their digest. The file key is
+derived deterministically from the uploader's private key and the file
+digest, so the same uploader re-uploading the same bytes lands on the
+same skylink; the key also travels inside the manifest sealed to the
+uploader.
 
 A skylink is ``sia://`` plus the unpadded base64url digest of the
 manifest core. Canonical byte layouts (see :mod:`skyvault.wire` for the
@@ -24,8 +27,9 @@ field framing; also documented in the README):
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import Digest, Envelope, KeyPair, digest, open_envelope, seal, sym_decrypt, sym_encrypt
 from .errors import (
@@ -51,22 +55,28 @@ _CHUNK_NONCE_SIZE = 12
 
 
 @dataclass(frozen=True)
-class Chunk:
-    """One encrypted segment of a file."""
-
-    index: int
-    plaintext_digest: Digest
-    ciphertext: bytes
-    ciphertext_digest: Digest
-
-
-@dataclass(frozen=True)
 class ChunkRecord:
     """Manifest entry: where one chunk's ciphertext lives."""
 
     index: int
     ciphertext_digest: Digest
     host_ids: tuple[str, ...]
+
+    def to_bytes(self) -> bytes:
+        return pack_fields([u64(self.index), self.ciphertext_digest.value,
+                            u64(len(self.host_ids))]
+                           + [host_id.encode("utf-8") for host_id in self.host_ids])
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ChunkRecord":
+        parts = unpack_fields(data)
+        if len(parts) < 3:
+            raise ValueError("chunk record too short")
+        n_hosts = read_u64(parts[2])
+        if len(parts) != 3 + n_hosts:
+            raise ValueError("chunk record host count mismatch")
+        return cls(read_u64(parts[0]), Digest(parts[1]),
+                   tuple(part.decode("utf-8") for part in parts[3:]))
 
 
 @dataclass(frozen=True)
@@ -77,31 +87,24 @@ class FileManifest:
     chunk_records: tuple[ChunkRecord, ...]
     encrypted_file_key: Envelope
 
+    def header_fields(self) -> list[bytes]:
+        """The fields both the core and the full manifest open with."""
+        return [
+            self.file_digest.value,
+            u64(self.file_size),
+            u64(self.chunk_size),
+            u64(len(self.chunk_records)),
+        ]
+
     def core_bytes(self) -> bytes:
         """Serialization the skylink digest is computed over."""
-        fields = [
-            self.file_digest.value,
-            u64(self.file_size),
-            u64(self.chunk_size),
-            u64(len(self.chunk_records)),
-        ]
-        fields += [record.ciphertext_digest.value for record in self.chunk_records]
-        return pack_fields(fields)
+        return pack_fields(self.header_fields() + [
+            record.ciphertext_digest.value for record in self.chunk_records])
 
     def to_bytes(self) -> bytes:
-        fields = [
-            self.file_digest.value,
-            u64(self.file_size),
-            u64(self.chunk_size),
-            u64(len(self.chunk_records)),
-        ]
-        for record in self.chunk_records:
-            fields.append(pack_fields(
-                [u64(record.index), record.ciphertext_digest.value,
-                 u64(len(record.host_ids))]
-                + [host_id.encode("utf-8") for host_id in record.host_ids]))
-        fields.append(self.encrypted_file_key.to_bytes())
-        return pack_fields(fields)
+        return pack_fields(self.header_fields()
+                           + [record.to_bytes() for record in self.chunk_records]
+                           + [self.encrypted_file_key.to_bytes()])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FileManifest":
@@ -114,20 +117,9 @@ class FileManifest:
         n_chunks = read_u64(fields[3])
         if len(fields) != 4 + n_chunks + 1:
             raise ValueError("manifest chunk count mismatch")
-        records = []
-        for blob in fields[4:4 + n_chunks]:
-            parts = unpack_fields(blob)
-            if len(parts) < 3:
-                raise ValueError("chunk record too short")
-            index = read_u64(parts[0])
-            ciphertext_digest = Digest(parts[1])
-            n_hosts = read_u64(parts[2])
-            if len(parts) != 3 + n_hosts:
-                raise ValueError("chunk record host count mismatch")
-            host_ids = tuple(part.decode("utf-8") for part in parts[3:])
-            records.append(ChunkRecord(index, ciphertext_digest, host_ids))
+        records = tuple(ChunkRecord.from_bytes(blob) for blob in fields[4:4 + n_chunks])
         envelope = Envelope.from_bytes(fields[-1])
-        return cls(file_digest, file_size, chunk_size, tuple(records), envelope)
+        return cls(file_digest, file_size, chunk_size, records, envelope)
 
 
 @dataclass(frozen=True)
@@ -239,38 +231,27 @@ def chunk_nonce(index: int) -> bytes:
     return index.to_bytes(_CHUNK_NONCE_SIZE, "big")
 
 
-def encrypt_chunk(file_key: bytes, index: int, plaintext: bytes) -> Chunk:
-    ciphertext = sym_encrypt(file_key, chunk_nonce(index), plaintext)
-    return Chunk(
-        index=index,
-        plaintext_digest=digest(plaintext),
-        ciphertext=ciphertext,
-        ciphertext_digest=digest(ciphertext),
-    )
+def build_manifest(data: bytes, uploader: KeyPair,
+                   chunk_size: int) -> tuple[SkyLink, FileManifest, list[bytes]]:
+    """Chunk and encrypt without touching any host.
 
-
-def build_manifest(data: bytes, uploader: KeyPair, chunk_size: int,
-                   placements: list[tuple[str, ...]] | None = None) -> tuple[SkyLink, FileManifest, list[Chunk]]:
-    """Chunk and encrypt without touching any host; placements may be empty."""
+    Returns the skylink, a manifest whose records name no hosts yet, and
+    each chunk's ciphertext in record order. The skylink covers only the
+    manifest core, so placing the chunks later leaves it valid.
+    """
     file_digest = digest(data)
     file_key = derive_file_key(uploader.private_key, file_digest)
-    chunks = [encrypt_chunk(file_key, i, plain)
-              for i, plain in enumerate(chunk_file(data, chunk_size))]
-    records = tuple(
-        ChunkRecord(
-            index=chunk.index,
-            ciphertext_digest=chunk.ciphertext_digest,
-            host_ids=placements[chunk.index] if placements else (),
-        )
-        for chunk in chunks)
+    ciphertexts = [sym_encrypt(file_key, chunk_nonce(i), plain)
+                   for i, plain in enumerate(chunk_file(data, chunk_size))]
     manifest = FileManifest(
         file_digest=file_digest,
         file_size=len(data),
         chunk_size=chunk_size,
-        chunk_records=records,
+        chunk_records=tuple(ChunkRecord(i, digest(ciphertext), ())
+                            for i, ciphertext in enumerate(ciphertexts)),
         encrypted_file_key=seal(uploader.public_key, file_key),
     )
-    return SkyLink.from_digest(digest(manifest.core_bytes())), manifest, chunks
+    return SkyLink.from_digest(digest(manifest.core_bytes())), manifest, ciphertexts
 
 
 def upload(data: bytes, network: StorageNetwork, uploader: KeyPair,
@@ -284,27 +265,15 @@ def upload(data: bytes, network: StorageNetwork, uploader: KeyPair,
         raise InsufficientHosts(
             f"need {replication} live hosts, have {len(live)}")
 
-    file_digest = digest(data)
-    file_key = derive_file_key(uploader.private_key, file_digest)
+    link, manifest, ciphertexts = build_manifest(data, uploader, chunk_size)
     records = []
-    for index, plain in enumerate(chunk_file(data, chunk_size)):
-        chunk = encrypt_chunk(file_key, index, plain)
-        replicas = [live[(index + offset) % len(live)] for offset in range(replication)]
+    for record, ciphertext in zip(manifest.chunk_records, ciphertexts):
+        replicas = [live[(record.index + offset) % len(live)] for offset in range(replication)]
         for host in replicas:
-            host.store(chunk.ciphertext_digest, chunk.ciphertext)
-        records.append(ChunkRecord(
-            index=index,
-            ciphertext_digest=chunk.ciphertext_digest,
-            host_ids=tuple(host.host_id for host in replicas),
-        ))
-    manifest = FileManifest(
-        file_digest=file_digest,
-        file_size=len(data),
-        chunk_size=chunk_size,
-        chunk_records=tuple(records),
-        encrypted_file_key=seal(uploader.public_key, file_key),
-    )
-    link = SkyLink.from_digest(digest(manifest.core_bytes()))
+            host.store(record.ciphertext_digest, ciphertext)
+        records.append(dataclasses.replace(
+            record, host_ids=tuple(host.host_id for host in replicas)))
+    manifest = dataclasses.replace(manifest, chunk_records=tuple(records))
     network.register_manifest(link, manifest)
     return link, manifest
 
@@ -377,16 +346,11 @@ def verify_skylink(link: SkyLink, data: bytes, uploader: KeyPair,
         expected = link.digest()
     except ValueError:
         return False
-    file_digest = digest(data)
-    file_key = derive_file_key(uploader.private_key, file_digest)
     try:
-        chunks = chunk_file(data, chunk_size)
+        built_link, _, _ = build_manifest(data, uploader, chunk_size)
     except BadChunkSize:
         return False
-    fields = [file_digest.value, u64(len(data)), u64(chunk_size), u64(len(chunks))]
-    fields += [digest(sym_encrypt(file_key, chunk_nonce(i), plain)).value
-               for i, plain in enumerate(chunks)]
-    return digest(pack_fields(fields)) == expected
+    return built_link.digest() == expected
 
 
 def fail_host(network: StorageNetwork, host_id: str):

@@ -4,7 +4,9 @@ Layout rule, bit-exact and stable (also documented in the README):
 
 * a *field* is a 4-byte big-endian unsigned length followed by the raw
   field bytes;
-* a *record* is the concatenation of its fields in declared order;
+* a *record* is the concatenation of its fields in declared order, so
+  a record that extends another (a transaction its body, a block its
+  header) is the packed shorter record followed by its own fields;
 * integers are 8-byte big-endian unsigned values, framed like any field;
 * nested records are packed first and framed as one field;
 * text is UTF-8.

@@ -15,7 +15,13 @@ from skyvault.errors import (
     UnknownId,
     WeakPassword,
 )
-from skyvault.identity import Account, IdentityService, SessionToken, solve_challenge
+from skyvault.identity import (
+    SESSION_TTL_DEFAULT,
+    Account,
+    IdentityService,
+    SessionToken,
+    solve_challenge,
+)
 
 # openssl: {printf hunter2abc; printf alice | openssl dgst -sha256 -binary} | dgst -sha256
 VERIFIER_ALICE_HUNTER2ABC = "f42a7c49db907876a9b62279ec61e0d9a96d0658ac31993ed8c2b4b5d22a908d"
@@ -200,6 +206,15 @@ class TestSessions:
         clock.advance(3601)
         with pytest.raises(Expired):
             service.validate_session(session.token)
+
+    def test_expired_sessions_swept(self, service, alice, clock):
+        service.register("alice", "hunter2abc", alice.public_key)
+        for _ in range(2000):
+            login(service, "alice", alice, "hunter2abc")
+        clock.advance(SESSION_TTL_DEFAULT + 1)
+        live = login(service, "alice", alice, "hunter2abc")
+        assert list(service._sessions) == [live.token]
+        assert service.validate_session(live.token) == "alice"
 
 
 class TestPersistenceFormats:

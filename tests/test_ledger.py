@@ -26,7 +26,6 @@ from skyvault.ledger import (
     load_chain,
     make_transaction,
     parse_chain,
-    prove_inclusion,
     serialize_chain,
 )
 
@@ -217,18 +216,18 @@ class TestInclusionAndCommitment:
         for tx in txs:
             chain.submit(tx, PROVIDER.public_key)
         chain.mine()
-        assert prove_inclusion(chain, txs[0].tx_id) == (0, 0)
-        assert prove_inclusion(chain, txs[2].tx_id) == (0, 2)
+        assert chain.find(txs[0].tx_id) == (0, 0)
+        assert chain.find(txs[2].tx_id) == (0, 2)
 
     def test_unknown_tx(self, chain):
         with pytest.raises(UnknownTransaction):
-            prove_inclusion(chain, digest(b"ghost"))
+            chain.find(digest(b"ghost"))
 
     def test_pending_is_not_included(self, chain, clock):
         tx = sample_tx(clock)
         chain.submit(tx, PROVIDER.public_key)
         with pytest.raises(UnknownTransaction):
-            prove_inclusion(chain, tx.tx_id)
+            chain.find(tx.tx_id)
 
     def test_confirm_secret_binds_exact_bytes(self, chain, clock, rng):
         secret = rng.randbytes(200)

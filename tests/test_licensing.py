@@ -36,6 +36,7 @@ from skyvault.licensing import (
     issue_license,
     redeem_license,
 )
+from skyvault.state import Config, StateDirectory
 from skyvault.storage import SkyLink, StorageNetwork, upload
 
 PROVIDER = generate_keypair(bytes(range(32)))
@@ -88,14 +89,12 @@ class TestRules:
         for rules in (window(), window(max_uses=0), window(max_uses=7),
                       KeyRules(NOW, NOW + 1, None, offline_allowed=True)):
             assert KeyRules.from_bytes(rules.to_bytes()) == rules
-            assert KeyRules.from_json(json.loads(json.dumps(rules.to_json()))) == rules
 
     def test_rights_round_trip(self):
         for actions in ({ACTION_STREAM}, {ACTION_STREAM, ACTION_DOWNLOAD},
                         {ACTION_STREAM, ACTION_DOWNLOAD, ACTION_RELICENSE}):
             rights = Rights(frozenset(actions))
             assert Rights.from_bytes(rights.to_bytes()) == rights
-            assert Rights.from_json(rights.to_json()) == rights
 
     def test_empty_rights_rejected(self):
         with pytest.raises(EmptyRights):
@@ -239,11 +238,19 @@ class TestLicenseSerialization:
         lic = sample_license(account, max_uses=9)
         assert License.from_canonical_bytes(lic.canonical_bytes()) == lic
 
-    def test_json_round_trip_keeps_uses(self, account):
+    def test_json_round_trip_keeps_uses(self, account, tmp_path):
+        # The persisted license file is JSON: the canonical record plus the
+        # use counter, which the canonical bytes do not carry.
         lic = sample_license(account, max_uses=5)
         check_rights(lic, ACTION_STREAM, NOW)
-        blob = json.dumps(lic.to_json())
-        again = License.from_json(json.loads(blob))
+        state = StateDirectory(tmp_path / "state")
+        state.initialize(Config())
+        state.save_license(lic)
+        path = state.licenses_dir / f"{lic.license_id.hex()}.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload == {"license": lic.canonical_bytes().hex(),
+                           "uses_consumed": 1}
+        again = state.load_license(lic.license_id)
         assert again == lic
         assert again.uses_consumed == 1
 

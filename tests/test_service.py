@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -184,6 +185,24 @@ class TestEndpoints:
             assert conn.sock.recv(1) == b""
         finally:
             conn.close()
+
+    def test_oversized_body_400_then_hang_up(self, server):
+        # The unread body must not be parsed as a second request.
+        head = (b"POST /register HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 1048577\r\n\r\n")
+        smuggled = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(server.address, timeout=2) as sock:
+            sock.sendall(head + smuggled)
+            received = b""
+            try:
+                while chunk := sock.recv(4096):
+                    received += chunk
+                closed = True
+            except TimeoutError:
+                closed = False
+        assert received.startswith(b"HTTP/1.1 400 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert closed
 
 
 class TestKeepAlive:

@@ -6,7 +6,7 @@ from skyvault.crypto import derive_credential, digest, generate_keypair
 from skyvault.errors import BadConfig, InvalidToken, StateMissing, UnknownLicense
 from skyvault.identity import IdentityService, solve_challenge
 from skyvault.ledger import append_block
-from skyvault.licensing import KeyRules, Rights, issue_license
+from skyvault.licensing import KeyRules, Rights, check_rights, issue_license
 from skyvault.state import Config, StateDirectory, load_world, save_world
 from skyvault.storage import download, fail_host, upload
 
@@ -126,8 +126,10 @@ class TestStateDirectory:
         lic = issue_license(generate_keypair(), account, digest(b"content"),
                             b"\x09" * 32, KeyRules(0, 10**10, 3),
                             Rights.default(), now=5)
+        assert check_rights(lic, "stream", now=6).allowed
         state.save_license(lic)
         assert state.load_license(lic.license_id) == lic
+        assert state.load_license(lic.license_id).uses_consumed == 1
         assert state.load_licenses() == [lic]
         with pytest.raises(UnknownLicense):
             state.load_license(b"\x00" * 16)
