@@ -232,8 +232,7 @@ def buy(state_root, skylink, valid_seconds, max_uses, actions):
 
 
 def _find_license(world, consumer_id: str, content_id: Digest):
-    matches = [lic for lic in world.state.load_licenses()
-               if lic.consumer_id == consumer_id and lic.content_id == content_id]
+    matches = world.state.load_licenses(consumer_id, content_id)
     if not matches:
         raise UnknownLicense(
             f"no license held by {consumer_id} for this content (buy first)")
@@ -369,11 +368,15 @@ def host_revive(state_root, host_id):
 @click.pass_obj
 @cli_errors
 def serve(state_root, bind):
-    """Run the identity endpoints as an HTTP JSON service."""
+    """Run the identity endpoints as an HTTP JSON service.
+
+    Each registration is saved as it happens; sessions at shutdown.
+    """
     world = load_world(state_root)
     bind_host, _, port_text = bind.rpartition(":")
     server = IdentityHttpServer(world.identity, host=bind_host or "127.0.0.1",
-                                port=int(port_text))
+                                port=int(port_text),
+                                on_register=world.state.save_account)
 
     def stop(signum, frame):
         raise KeyboardInterrupt

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -144,8 +144,7 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
         seed = os.urandom(SEED_SIZE)
     elif len(seed) != SEED_SIZE:
         raise BadSeedLength(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    public = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    public = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
     return KeyPair(public_key=public, private_key=seed)
 
 
@@ -196,8 +195,7 @@ def seal(recipient_public: bytes, plaintext: bytes) -> Envelope:
     """
     recipient_x = _ed_public_to_x_public(recipient_public)
     ephemeral = X25519PrivateKey.generate()
-    ephemeral_public = ephemeral.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+    ephemeral_public = ephemeral.public_key().public_bytes_raw()
     shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_x))
     key = _seal_key(shared, ephemeral_public, recipient_x)
     nonce = os.urandom(NONCE_SIZE)
@@ -211,8 +209,7 @@ def open_envelope(recipient_private: bytes, env: Envelope) -> bytes:
         raise BadKeyLength(f"private key must be {SEED_SIZE} bytes, got {len(recipient_private)}")
     try:
         x_private = _x_private_from_seed(recipient_private)
-        recipient_x = x_private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+        recipient_x = x_private.public_key().public_bytes_raw()
         shared = x_private.exchange(X25519PublicKey.from_public_bytes(env.ephemeral_public))
         key = _seal_key(shared, env.ephemeral_public, recipient_x)
         return AESGCM(key).decrypt(env.nonce, env.ciphertext, env.ephemeral_public)

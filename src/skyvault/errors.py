@@ -50,6 +50,12 @@ class AuthFailed(SkyVaultError):
 
 # -- identity ----------------------------------------------------------------
 
+class BadIdentifier(SkyVaultError):
+    """Account id that is not a safe file name in the state directory."""
+
+    code = "bad_identifier"
+
+
 class DuplicateId(SkyVaultError):
     code = "duplicate_id"
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hmac
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -25,6 +26,7 @@ from typing import Callable
 
 from .crypto import Digest, derive_credential, digest, open_envelope, seal, Envelope
 from .errors import (
+    BadIdentifier,
     BadKeyLength,
     DuplicateId,
     Expired,
@@ -43,6 +45,12 @@ MIN_PASSWORD_LENGTH = 8
 CHALLENGE_ID_SIZE = 16
 NONCE_SIZE = 32
 TOKEN_SIZE = 32
+
+# Account ids name files (accounts/<id>.json, keys/<id>.json), so an id
+# must be one plain file name: no separators, no leading dot, and not
+# the name of the sessions file that shares accounts/.
+_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
+_RESERVED_ID = "sessions"
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,10 @@ class IdentityService:
     # -- registration and login ------------------------------------------
 
     def register(self, id: str, password: str, public_key: bytes) -> Account:
+        if not _ID_PATTERN.fullmatch(id) or id == _RESERVED_ID:
+            raise BadIdentifier(
+                f"account id must match {_ID_PATTERN.pattern} and not be "
+                f"{_RESERVED_ID!r}: {id!r}")
         if len(password) < MIN_PASSWORD_LENGTH:
             raise WeakPassword(f"password must be at least {MIN_PASSWORD_LENGTH} characters")
         if len(public_key) != 32:

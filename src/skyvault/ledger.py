@@ -44,7 +44,7 @@ from .errors import (
     StaleTimestamp,
     UnknownTransaction,
 )
-from .wire import pack_fields, read_u64, u64, unpack_fields
+from .wire import framed_size, pack_fields, read_u64, u64, unpack_fields
 
 DEFAULT_DIFFICULTY_BITS = 8
 TIMESTAMP_TOLERANCE = 900
@@ -91,6 +91,9 @@ class Transaction:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":
         fields = unpack_fields(data, expected=7)
+        # The body is the record's own first five framed fields: strict
+        # framing makes those bytes the ones body_bytes() would rebuild.
+        body = data[:framed_size(fields[:5])]
         tx = cls(
             consumer_key_fingerprint=Digest(fields[0]),
             provider_key_fingerprint=Digest(fields[1]),
@@ -100,7 +103,7 @@ class Transaction:
             signature=fields[5],
             tx_id=Digest(fields[6]),
         )
-        if digest(tx.body_bytes()) != tx.tx_id:
+        if digest(body) != tx.tx_id:
             raise ValueError("transaction id does not recompute")
         return tx
 
@@ -166,7 +169,8 @@ class Block:
         )
         if compute_tx_root(block.tx_ids) != block.tx_root:
             raise ValueError("block tx_root does not recompute")
-        if digest(block.header_bytes()) != block.block_hash:
+        # As for a transaction body: the header is the first five fields.
+        if digest(data[:framed_size(fields[:5])]) != block.block_hash:
             raise ValueError("block hash does not recompute")
         return block
 

@@ -10,16 +10,19 @@ Endpoints (octet values are unpadded base64url in JSON):
 
 The begin response carries only the sealed nonce: the raw nonce never
 crosses the wire. Statuses: 400 malformed input, 401 failed or expired
-authentication, 404 unknown id/challenge/path, 409 duplicate id.
+authentication, 404 unknown id/challenge/path, 409 duplicate id. An
+account id must be a safe file name (see ``IdentityService.register``);
+any other id is a 400 ``bad_identifier``.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 from .errors import (
+    BadIdentifier,
     BadKeyLength,
     DuplicateId,
     Expired,
@@ -31,12 +34,13 @@ from .errors import (
     WeakPassword,
 )
 from .crypto import Digest
-from .identity import IdentityService
+from .identity import Account, IdentityService
 from .wire import b64u, b64u_decode
 
 _MAX_BODY = 1 << 20
 
 _STATUS_BY_ERROR = {
+    BadIdentifier: 400,
     WeakPassword: 400,
     BadKeyLength: 400,
     ResponseMismatch: 401,
@@ -52,7 +56,12 @@ class _BadRequest(Exception):
     pass
 
 
-def _handler_class(identity: IdentityService):
+def _handler_class(identity: IdentityService,
+                   on_register: Callable[[Account], None] | None):
+    # Imported here, not at module level: only `serve` needs the HTTP
+    # stack, and every other command would pay for loading it.
+    from http.server import BaseHTTPRequestHandler
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # Buffer wfile so headers and body leave in the one write that
@@ -71,6 +80,8 @@ def _handler_class(identity: IdentityService):
                     account = identity.register(
                         _text(body, "id"), _text(body, "password"),
                         _octets(body, "public_key"))
+                    if on_register is not None:
+                        on_register(account)
                     self._reply(200, {"id": account.id,
                                       "created_at": account.created_at})
                 elif self.path == "/auth/begin":
@@ -170,11 +181,19 @@ def _octets(body: dict, key: str) -> bytes:
 
 
 class IdentityHttpServer:
-    """Threaded HTTP server wrapping one IdentityService."""
+    """Threaded HTTP server wrapping one IdentityService.
+
+    ``on_register``, if given, is called with each new account before
+    its registration is answered, so the caller can persist it at once.
+    """
 
     def __init__(self, identity: IdentityService, host: str = "127.0.0.1",
-                 port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _handler_class(identity))
+                 port: int = 0,
+                 on_register: Callable[[Account], None] | None = None):
+        from http.server import ThreadingHTTPServer
+
+        self._server = ThreadingHTTPServer(
+            (host, port), _handler_class(identity, on_register))
         self._thread: threading.Thread | None = None
 
     @property

@@ -9,7 +9,8 @@ Layout under the state root::
     hosts/<host_id>/<hex>       ciphertext fragments, named by digest
     manifests/<hex>.manifest    canonical manifests, named by skylink digest
     chain.log                   append-only checksummed block records
-    licenses/<hex>.json         canonical license record (hex) + use counter
+    licenses/<fingerprint>-<id>.json
+                                canonical license record (hex) + use counter
     secrets/<hex>.secret        sealed secret blocks, named by tx id
     catalog.json                published titles -> skylinks
     keys/<id>.json              client-side keypairs
@@ -18,6 +19,11 @@ Layout under the state root::
 Every file is the canonical format of its owning module, so a cold
 restart rebuilds identical state. The chain file is never rewritten,
 only appended to.
+
+A license file is named by the record's consumer fingerprint,
+digest(consumer id ‖ content id), and its license id, so ``play`` reads
+only the caller's licenses for one title. Files under the older
+``licenses/<id>.json`` name are not migrated.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .crypto import Digest, KeyPair, digest
 from .errors import BadConfig, StateMissing, UnknownLicense, UnknownSkylink
 from .identity import Account, IdentityService, SessionToken
 from .ledger import Chain, load_chain
-from .licensing import License
+from .licensing import License, consumer_fingerprint
 from .storage import FileManifest, Host, SkyLink, StorageNetwork
 from .wire import b64u, b64u_decode
 
@@ -227,17 +233,20 @@ class StateDirectory:
         """The canonical record as hex, beside the use counter it excludes."""
         payload = {"license": license.canonical_bytes().hex(),
                    "uses_consumed": license.uses_consumed}
-        path = self.licenses_dir / f"{license.license_id.hex()}.json"
+        path = self.licenses_dir / _license_filename(license)
         path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
     def load_license(self, license_id: bytes) -> License:
-        path = self.licenses_dir / f"{license_id.hex()}.json"
-        if not path.is_file():
+        path = next(self.licenses_dir.glob(f"*-{license_id.hex()}.json"), None)
+        if path is None:
             raise UnknownLicense(f"no license {license_id.hex()}")
         return _read_license(path)
 
-    def load_licenses(self) -> list[License]:
-        return [_read_license(path) for path in sorted(self.licenses_dir.glob("*.json"))]
+    def load_licenses(self, consumer_id: str, content_id: Digest) -> list[License]:
+        """The licenses one consumer holds for one title, read by file name."""
+        prefix = consumer_fingerprint(consumer_id, content_id).hex
+        return [_read_license(path)
+                for path in sorted(self.licenses_dir.glob(f"{prefix}-*.json"))]
 
     def save_secret(self, tx_id_hex: str, sealed_bytes: bytes):
         (self.secrets_dir / f"{tx_id_hex}.secret").write_bytes(sealed_bytes)
@@ -298,9 +307,17 @@ class StateDirectory:
             self.session_path.unlink()
 
 
+def _license_filename(license: License) -> str:
+    return f"{license.consumer_fingerprint.hex}-{license.license_id.hex()}.json"
+
+
 def _read_license(path: Path) -> License:
     payload = json.loads(path.read_text(encoding="utf-8"))
     license = License.from_canonical_bytes(bytes.fromhex(payload["license"]))
+    if path.name != _license_filename(license):
+        # Lookups trust the name, so a record filed under another name
+        # (say, another consumer's fingerprint) is refused.
+        raise ValueError(f"license file {path.name} does not match its record")
     license.uses_consumed = int(payload["uses_consumed"])
     return license
 

@@ -19,8 +19,10 @@ that into their own error types.
 from __future__ import annotations
 
 import base64
+import struct
 
 _LEN_PREFIX = 4
+_LENGTH = struct.Struct(">I")
 _U64_MAX = 2**64 - 1
 
 
@@ -50,23 +52,31 @@ def unpack_fields(data: bytes, expected: int | None = None) -> list[bytes]:
     """Split a packed record back into its fields.
 
     Rejects truncation and trailing garbage; if ``expected`` is given the
-    field count must match exactly.
+    field count must match exactly. Because framing is strict, the first
+    k fields occupy exactly ``framed_size(fields[:k])`` leading bytes.
     """
     fields = []
     pos = 0
     total = len(data)
+    read_length = _LENGTH.unpack_from
     while pos < total:
         if pos + _LEN_PREFIX > total:
             raise ValueError("truncated field length")
-        length = int.from_bytes(data[pos:pos + _LEN_PREFIX], "big")
+        (length,) = read_length(data, pos)
         pos += _LEN_PREFIX
-        if pos + length > total:
+        end = pos + length
+        if end > total:
             raise ValueError("field length past end of record")
-        fields.append(data[pos:pos + length])
-        pos += length
+        fields.append(data[pos:end])
+        pos = end
     if expected is not None and len(fields) != expected:
         raise ValueError(f"expected {expected} fields, found {len(fields)}")
     return fields
+
+
+def framed_size(fields) -> int:
+    """Length of ``pack_fields(fields)``, without building it."""
+    return _LEN_PREFIX * len(fields) + sum(map(len, fields))
 
 
 def b64u(data: bytes) -> str:

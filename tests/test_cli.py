@@ -2,15 +2,25 @@
 
 import json
 import os
+import re
+import select
 import subprocess
 import sys
+import time
+import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 from skyvault.cli import main
+from skyvault.crypto import Envelope, derive_credential, generate_keypair
 from skyvault.hls import read_package, unpackage
+from skyvault.identity import solve_challenge
+from skyvault.state import StateDirectory
+from skyvault.storage import SkyLink
+from skyvault.wire import b64u, b64u_decode
 
 PASSWORD = "sturdy password"
 
@@ -133,6 +143,16 @@ class TestErrors:
                      "--password", PASSWORD, expect=1)
         assert stderr_json(result)["error"] == "duplicate_id"
 
+    @pytest.mark.parametrize("bad_id", ["../../escaped", "sessions"])
+    def test_register_unsafe_id_refused(self, runner, root, tmp_path, bad_id):
+        run(runner, root, "init")
+        result = run(runner, root, "register", bad_id, "--password", PASSWORD,
+                     expect=1)
+        assert stderr_json(result)["error"] == "bad_identifier"
+        assert not list(tmp_path.rglob("escaped*"))
+        assert not (root / "accounts" / "sessions.json").exists()
+        assert not list((root / "keys").iterdir())
+
     def test_wrong_password_login(self, runner, root):
         run(runner, root, "init")
         run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
@@ -201,3 +221,124 @@ class TestColdRestart:
             capture_output=True, text=True, env=env)
         assert played.returncode == 0, played.stderr
         assert out.read_bytes() == media
+
+
+class TestLicenseLookup:
+    def test_play_uses_callers_newest_license(self, runner, root, tmp_path,
+                                              monkeypatch):
+        _, skylink = bootstrap(runner, root, tmp_path)
+        run(runner, root, "register", "bob-consumer", "--password", PASSWORD)
+        start = int(time.time())
+
+        def at(offset, *args, expect=0):
+            # The command's clock only: buys a second apart are ordered.
+            monkeypatch.setattr("skyvault.cli.time",
+                                SimpleNamespace(time=lambda: start + offset))
+            return run(runner, root, *args, expect=expect)
+
+        def buy(offset, max_uses):
+            result = at(offset, "buy", skylink, "--max-uses", max_uses)
+            return bytes.fromhex(re.search(r"license ([0-9a-f]+)", result.output)[1])
+
+        def play(expect=0):
+            return at(10, "play", skylink, str(tmp_path / "out.bin"), expect=expect)
+
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        alice_old = buy(1, "5")
+        alice_new = buy(2, "2")
+        run(runner, root, "login", "bob-consumer", "--password", PASSWORD)
+        bob_only = buy(3, "1")
+
+        assert "uses: 1/1" in play().output
+        assert stderr_json(play(expect=1))["reason"] == "UsesExhausted"
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        assert "uses: 1/2" in play().output
+        assert "uses: 2/2" in play().output
+        assert stderr_json(play(expect=1))["reason"] == "UsesExhausted"
+
+        state = StateDirectory(root)
+        uses = {}
+        for license_id in (alice_old, alice_new, bob_only):
+            lic = state.load_license(license_id)
+            name = f"{lic.consumer_fingerprint.hex}-{license_id.hex()}.json"
+            assert (state.licenses_dir / name).is_file()
+            uses[license_id] = lic.uses_consumed
+        assert uses == {alice_old: 0, alice_new: 2, bob_only: 1}
+        content_id = SkyLink(skylink).digest()
+        assert {lic.license_id for lic in state.load_licenses(
+            "alice-consumer", content_id)} == {alice_old, alice_new}
+
+
+def _src_env(**extra) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
+class TestColdStart:
+    def test_cli_import_leaves_out_http_stack(self):
+        # Only serve needs the HTTP server; every other cold command would
+        # pay for loading it. The layer modules must all stay loaded.
+        code = "import json, sys, skyvault.cli; print(json.dumps(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                             capture_output=True, text=True, check=True)
+        loaded = set(json.loads(out.stdout))
+        heavy = {"http.server", "ssl", "email.parser",
+                 "cryptography.hazmat.primitives.serialization.ssh"}
+        assert not heavy & loaded
+        layers = {f"skyvault.{name}" for name in (
+            "cli", "state", "storage", "crypto", "ledger", "licensing",
+            "identity", "service", "hls")}
+        assert layers <= loaded
+
+
+def _post(url: str, payload: dict) -> dict:
+    request = urllib.request.Request(url, data=json.dumps(payload).encode(),
+                                     method="POST")
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read())
+
+
+class TestServe:
+    def test_registration_saved_while_serving(self, runner, root):
+        run(runner, root, "init")
+        with subprocess.Popen(
+                [sys.executable, "-m", "skyvault", "--state", str(root), "serve",
+                 "--bind", "127.0.0.1:0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=_src_env(PYTHONUNBUFFERED="1")) as proc:
+            try:
+                self._check_serving(proc, StateDirectory(root))
+            finally:
+                proc.terminate()
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    raise
+
+    @staticmethod
+    def _check_serving(proc, state):
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "serve printed no banner within 30 s"
+        banner = proc.stdout.readline()
+        assert banner.startswith("Serving identity API on "), banner
+        url = banner.split(" on ", 1)[1].strip()
+        keypair = generate_keypair()
+        _post(url + "/register", {"id": "carol-viewer", "password": PASSWORD,
+                                  "public_key": b64u(keypair.public_key)})
+        assert (state.accounts_dir / "carol-viewer.json").is_file()
+        assert [a.id for a in state.load_accounts()] == ["carol-viewer"]
+        assert state.load_accounts()[0].public_key == keypair.public_key
+
+        # A login writes nothing while the server runs.
+        begin = _post(url + "/auth/begin", {"id": "carol-viewer"})
+        response = solve_challenge(
+            Envelope.from_bytes(b64u_decode(begin["sealed_nonce"])),
+            keypair.private_key,
+            derive_credential("carol-viewer", PASSWORD).verifier)
+        session = _post(url + "/auth/complete", {
+            "challenge_id": begin["challenge_id"],
+            "response": b64u(response.value)})
+        assert session["account_id"] == "carol-viewer"
+        assert not state.sessions_path.exists()
+        assert proc.poll() is None

@@ -6,6 +6,7 @@ import pytest
 
 from skyvault.crypto import Digest, digest, generate_keypair, open_envelope
 from skyvault.errors import (
+    BadIdentifier,
     DuplicateId,
     Expired,
     InvalidToken,
@@ -63,6 +64,21 @@ class TestRegister:
     def test_weak_password_rejected(self, service, alice):
         with pytest.raises(WeakPassword):
             service.register("alice", "short", alice.public_key)
+
+    @pytest.mark.parametrize("bad_id", [
+        "", "../../escaped", "a/b", "a\\b", "..", ".hidden", "-flag", "_x",
+        "sessions", "x" * 65, "alice\n", "al ice", "caf\u00e9", "a\x00b"])
+    def test_unsafe_id_rejected(self, service, alice, bad_id):
+        # Ids become file names under accounts/ and keys/.
+        with pytest.raises(BadIdentifier) as caught:
+            service.register(bad_id, "hunter2abc", alice.public_key)
+        assert caught.value.code == "bad_identifier"
+        assert service.accounts() == []
+
+    @pytest.mark.parametrize("good_id", [
+        "a", "alice", "9lives", "user-007", "a.b_c-D9", "sessions2", "x" * 64])
+    def test_file_name_safe_id_accepted(self, service, alice, good_id):
+        assert service.register(good_id, "hunter2abc", alice.public_key).id == good_id
 
     def test_store_never_contains_password(self, service, rng):
         for i in range(20):

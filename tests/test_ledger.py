@@ -308,6 +308,20 @@ class TestSerialization:
         with pytest.raises(ChainCorrupt):
             parse_chain(bytes(data))
 
+    def test_stale_tx_id_rejected_behind_good_checksum(self, clock):
+        tx = sample_tx(clock)
+        forged = dataclasses.replace(tx, timestamp=tx.timestamp + 1)
+        with pytest.raises(ValueError, match="transaction id"):
+            Transaction.from_bytes(forged.to_bytes())
+
+    def test_stale_block_hash_rejected_behind_good_checksum(self, clock):
+        block = mined_chain(clock, n_blocks=1).blocks[0]
+        forged = dataclasses.replace(block, nonce=block.nonce + 1)
+        with pytest.raises(ValueError, match="block hash"):
+            Block.from_bytes(forged.to_bytes())
+        with pytest.raises(ChainCorrupt, match="block hash"):
+            parse_chain(serialize_chain(Chain(blocks=[forged])))
+
     def test_tx_root_covers_order(self, clock):
         a, b = digest(b"a"), digest(b"b")
         assert compute_tx_root([a, b]) != compute_tx_root([b, a])

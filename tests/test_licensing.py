@@ -246,7 +246,7 @@ class TestLicenseSerialization:
         state = StateDirectory(tmp_path / "state")
         state.initialize(Config())
         state.save_license(lic)
-        path = state.licenses_dir / f"{lic.license_id.hex()}.json"
+        [path] = state.licenses_dir.glob(f"*-{lic.license_id.hex()}.json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload == {"license": lic.canonical_bytes().hex(),
                            "uses_consumed": 1}

@@ -74,6 +74,25 @@ class TestEndpoints:
         assert status == 400
         assert body["error"] == "weak_password"
 
+    @pytest.mark.parametrize("bad_id", ["../../escaped", "a/b", "sessions"])
+    def test_unsafe_id_400(self, server, bad_id):
+        status, body, _ = register(server, id=bad_id)
+        assert status == 400
+        assert body["error"] == "bad_identifier"
+
+    def test_registration_callback(self):
+        saved = []
+        srv = IdentityHttpServer(IdentityService(), port=0, on_register=saved.append)
+        srv.start()
+        try:
+            register(srv)
+            register(srv)  # a duplicate is not passed on
+            register(srv, id="../x")
+            full_login(srv, id="bob-consumer")
+        finally:
+            srv.shutdown()
+        assert [account.id for account in saved] == ["alice-consumer", "bob-consumer"]
+
     def test_full_protocol_yields_token(self, server):
         status, body = full_login(server)
         assert status == 200

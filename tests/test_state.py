@@ -3,7 +3,13 @@
 import pytest
 
 from skyvault.crypto import derive_credential, digest, generate_keypair
-from skyvault.errors import BadConfig, InvalidToken, StateMissing, UnknownLicense
+from skyvault.errors import (
+    BadConfig,
+    BadIdentifier,
+    InvalidToken,
+    StateMissing,
+    UnknownLicense,
+)
 from skyvault.identity import IdentityService, solve_challenge
 from skyvault.ledger import append_block
 from skyvault.licensing import KeyRules, Rights, check_rights, issue_license
@@ -97,6 +103,17 @@ class TestStateDirectory:
         with pytest.raises(InvalidToken):
             reloaded.identity.validate_session(alice)
 
+    def test_escaping_account_id_never_saved(self, state, tmp_path):
+        # accounts/<id>.json: "../../escaped" would land two levels above
+        # accounts/, and vanish from the next load.
+        world = load_world(state.root)
+        with pytest.raises(BadIdentifier):
+            world.identity.register("../../escaped", "sturdy password",
+                                    generate_keypair().public_key)
+        save_world(world)
+        assert not list(tmp_path.rglob("escaped*"))
+        assert load_world(state.root).identity.accounts() == []
+
     def test_network_round_trip(self, state, rng):
         world = load_world(state.root)
         uploader = generate_keypair()
@@ -130,9 +147,51 @@ class TestStateDirectory:
         state.save_license(lic)
         assert state.load_license(lic.license_id) == lic
         assert state.load_license(lic.license_id).uses_consumed == 1
-        assert state.load_licenses() == [lic]
+        assert state.load_licenses(lic.consumer_id, lic.content_id) == [lic]
         with pytest.raises(UnknownLicense):
             state.load_license(b"\x00" * 16)
+
+    def test_licenses_read_by_consumer_and_title(self, state):
+        identity = IdentityService()
+        provider = generate_keypair()
+        alice = identity.register("alice-consumer", "password123",
+                                  generate_keypair().public_key)
+        bob = identity.register("bob-consumer", "password123",
+                                generate_keypair().public_key)
+        film, show = digest(b"film"), digest(b"show")
+
+        def issue(account, content_id, now):
+            lic = issue_license(provider, account, content_id, b"\x09" * 32,
+                                KeyRules(0, 10**10, None), Rights.default(), now=now)
+            state.save_license(lic)
+            return lic
+
+        alice_film = [issue(alice, film, 1), issue(alice, film, 2)]
+        alice_show = issue(alice, show, 3)
+        bob_film = issue(bob, film, 4)
+        assert sorted(state.load_licenses("alice-consumer", film),
+                      key=lambda lic: lic.issued_at) == alice_film
+        assert state.load_licenses("alice-consumer", show) == [alice_show]
+        assert state.load_licenses("bob-consumer", film) == [bob_film]
+        assert state.load_licenses("bob-consumer", show) == []
+        for lic in alice_film + [alice_show, bob_film]:
+            name = f"{lic.consumer_fingerprint.hex}-{lic.license_id.hex()}.json"
+            assert (state.licenses_dir / name).is_file()
+            assert state.load_license(lic.license_id) == lic
+
+    def test_license_filed_under_another_consumer_refused(self, state):
+        identity = IdentityService()
+        alice = identity.register("alice-consumer", "password123",
+                                  generate_keypair().public_key)
+        lic = issue_license(generate_keypair(), alice, digest(b"film"),
+                            b"\x09" * 32, KeyRules(0, 10**10, None),
+                            Rights.default(), now=1)
+        state.save_license(lic)
+        [path] = state.licenses_dir.iterdir()
+        bob_prefix = digest(b"bob-consumer" + digest(b"film").value).hex
+        path.rename(path.with_name(f"{bob_prefix}-{lic.license_id.hex()}.json"))
+        with pytest.raises(ValueError):
+            state.load_licenses("bob-consumer", digest(b"film"))
 
     def test_secret_round_trip(self, state):
         state.save_secret("ab" * 32, b"sealed bytes here")
