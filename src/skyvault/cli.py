@@ -3,7 +3,8 @@
 State lives in a directory chosen by ``--state`` or the SKYVAULT_STATE
 environment variable. Commands load it cold, act, and persist before
 exiting; a later invocation (or a different machine pointed at a copy)
-sees identical state. Failures print one JSON object on stderr,
+sees identical state; commands on one state run one at a time (see
+:mod:`skyvault.state`). Failures print one JSON object on stderr,
 ``{"error": <stable code>, "message": ...}``, and exit nonzero; no
 command prints key material unless ``play --show-key`` is given.
 """
@@ -16,6 +17,7 @@ import os
 import signal
 import sys
 import time
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import click
@@ -56,6 +58,26 @@ def cli_errors(fn):
     return wrapper
 
 
+def with_world(fn):
+    """Call ``fn(world, ...)`` with the loaded state, holding the state's
+    lock from before the load until FN returns."""
+    @click.pass_obj
+    @cli_errors
+    @functools.wraps(fn)
+    def wrapper(state_root, *args, **kwargs):
+        with StateDirectory(state_root).locked():
+            return fn(load_world(state_root), *args, **kwargs)
+    return wrapper
+
+
+def config_options(fn):
+    """One ``--<setting>`` option per Config field, with the field's default."""
+    for field in reversed(dataclass_fields(Config)):
+        fn = click.option(f"--{field.name.replace('_', '-')}", type=int,
+                          default=field.default, show_default=True)(fn)
+    return fn
+
+
 @click.group()
 @click.option("--state", "state_root", envvar="SKYVAULT_STATE",
               default=DEFAULT_STATE, show_default=True,
@@ -67,24 +89,13 @@ def main(ctx, state_root):
 
 
 @main.command()
-@click.option("--replication-factor", type=int, default=3, show_default=True)
-@click.option("--chunk-size", type=int, default=262144, show_default=True)
-@click.option("--pow-difficulty", type=int, default=8, show_default=True)
-@click.option("--challenge-ttl", type=int, default=120, show_default=True)
-@click.option("--session-ttl", type=int, default=3600, show_default=True)
-@click.option("--host-count", type=int, default=5, show_default=True)
-@click.option("--segment-bytes", type=int, default=1048576, show_default=True)
+@config_options
 @click.pass_obj
 @cli_errors
-def init(state_root, replication_factor, chunk_size, pow_difficulty,
-         challenge_ttl, session_ttl, host_count, segment_bytes):
+def init(state_root, **settings):
     """Create the state directory with its config."""
-    config = Config(replication_factor=replication_factor,
-                    chunk_size=chunk_size, pow_difficulty=pow_difficulty,
-                    challenge_ttl=challenge_ttl, session_ttl=session_ttl,
-                    host_count=host_count, segment_bytes=segment_bytes)
     state = StateDirectory(state_root)
-    state.initialize(config)
+    state.initialize(Config(**settings))
     click.echo(f"Initialized state at {state.root}")
 
 
@@ -92,11 +103,9 @@ def init(state_root, replication_factor, chunk_size, pow_difficulty,
 @click.argument("id")
 @click.option("--password", prompt=True, hide_input=True,
               confirmation_prompt=False)
-@click.pass_obj
-@cli_errors
-def register(state_root, id, password):
+@with_world
+def register(world, id, password):
     """Create a keypair and register ID with the identity service."""
-    world = load_world(state_root)
     keypair = generate_keypair()
     world.identity.register(id, password, keypair.public_key)
     save_world(world)
@@ -107,11 +116,9 @@ def register(state_root, id, password):
 @main.command()
 @click.argument("id")
 @click.option("--password", prompt=True, hide_input=True)
-@click.pass_obj
-@cli_errors
-def login(state_root, id, password):
+@with_world
+def login(world, id, password):
     """Authenticate via challenge-response and store the session."""
-    world = load_world(state_root)
     keypair = world.state.load_keypair(id)
     challenge = world.identity.begin_auth(id)
     verifier = derive_credential(id, password).verifier
@@ -123,25 +130,22 @@ def login(state_root, id, password):
     click.echo(f"Logged in as {id}; session valid until {session.expires_at}")
 
 
-def _current_identity(world, override: str | None) -> str:
-    if override:
-        return override
+def _login(world):
+    """The stored login's session and the account id it is valid for."""
     session = world.state.load_login()
     if session is None:
-        raise NotAuthenticated("not logged in (run login, or pass --as)")
-    return world.identity.validate_session(session.token)
+        raise NotAuthenticated("not logged in (run login first)")
+    return session, world.identity.validate_session(session.token)
 
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--as", "as_id", default=None,
               help="Uploader account (default: current login).")
-@click.pass_obj
-@cli_errors
-def upload(state_root, file, as_id):
+@with_world
+def upload(world, file, as_id):
     """Chunk, encrypt, and replicate FILE across the storage hosts."""
-    world = load_world(state_root)
-    uploader_id = _current_identity(world, as_id)
+    uploader_id = as_id or _login(world)[1]
     keypair = world.state.load_keypair(uploader_id)
     with open(file, "rb") as handle:
         data = handle.read()
@@ -156,12 +160,10 @@ def upload(state_root, file, as_id):
 @click.argument("out", type=click.Path(dir_okay=False))
 @click.option("--as", "as_id", default=None,
               help="Requesting account (default: current login).")
-@click.pass_obj
-@cli_errors
-def download(state_root, skylink, out, as_id):
+@with_world
+def download(world, skylink, out, as_id):
     """Fetch SKYLINK with your own key and write the plaintext to OUT."""
-    world = load_world(state_root)
-    requester_id = _current_identity(world, as_id)
+    requester_id = as_id or _login(world)[1]
     keypair = world.state.load_keypair(requester_id)
     data = storage_download(SkyLink(skylink), world.network, keypair.private_key)
     with open(out, "wb") as handle:
@@ -174,12 +176,10 @@ def download(state_root, skylink, out, as_id):
 @click.option("--title", required=True, help="Catalog title for the content.")
 @click.option("--as", "as_id", default=None,
               help="Provider account (default: current login).")
-@click.pass_obj
-@cli_errors
-def publish(state_root, skylink, title, as_id):
+@with_world
+def publish(world, skylink, title, as_id):
     """List uploaded content in the catalog so consumers can buy it."""
-    world = load_world(state_root)
-    provider_id = _current_identity(world, as_id)
+    provider_id = as_id or _login(world)[1]
     world.network.lookup(SkyLink(skylink))
     world.state.add_catalog_entry(title, SkyLink(skylink), provider_id)
     click.echo(f"Published {title!r} at {skylink}")
@@ -193,15 +193,10 @@ def publish(state_root, skylink, title, as_id):
               help="Use budget (default: unlimited).")
 @click.option("--actions", default=f"{ACTION_STREAM},{ACTION_DOWNLOAD}",
               show_default=True, help="Comma-separated allowed actions.")
-@click.pass_obj
-@cli_errors
-def buy(state_root, skylink, valid_seconds, max_uses, actions):
+@with_world
+def buy(world, skylink, valid_seconds, max_uses, actions):
     """Purchase SKYLINK: license, secret block, on-chain commitment."""
-    world = load_world(state_root)
-    session = world.state.load_login()
-    if session is None:
-        raise NotAuthenticated("not logged in (run login first)")
-    consumer_id = world.identity.validate_session(session.token)
+    session, consumer_id = _login(world)
     consumer_account = world.identity.get_account(consumer_id)
     entry = world.state.find_catalog_entry(skylink)
     provider_keypair = world.state.load_keypair(entry["provider_id"])
@@ -231,12 +226,22 @@ def buy(state_root, skylink, valid_seconds, max_uses, actions):
                f"committed in block {block.height}")
 
 
-def _find_license(world, consumer_id: str, content_id: Digest):
-    matches = world.state.load_licenses(consumer_id, content_id)
-    if not matches:
+def _redeem_newest(world, keypair, consumer_id: str, content_id: Digest, action: str):
+    """The newest license (by ``issued_at``, then id) that allows ACTION,
+    and its key; when all deny, the newest one's reason is raised."""
+    licenses = sorted(world.state.load_licenses(consumer_id, content_id),
+                      key=lambda lic: (lic.issued_at, lic.license_id), reverse=True)
+    if not licenses:
         raise UnknownLicense(
             f"no license held by {consumer_id} for this content (buy first)")
-    return max(matches, key=lambda lic: lic.issued_at)
+    now = int(time.time())
+    denied = None
+    for license in licenses:
+        try:
+            return license, redeem_license(keypair.private_key, license, action, now)
+        except RightsDenied as exc:
+            denied = denied or exc
+    raise denied
 
 
 @main.command()
@@ -246,19 +251,13 @@ def _find_license(world, consumer_id: str, content_id: Digest):
               help="Action to exercise against the license.")
 @click.option("--show-key", is_flag=True, default=False,
               help="Also print the redeemed content key (debug).")
-@click.pass_obj
-@cli_errors
-def play(state_root, skylink, out, action, show_key):
+@with_world
+def play(world, skylink, out, action, show_key):
     """Redeem your license for SKYLINK, decrypt, and write plaintext to OUT."""
-    world = load_world(state_root)
-    session = world.state.load_login()
-    if session is None:
-        raise NotAuthenticated("not logged in (run login first)")
-    consumer_id = world.identity.validate_session(session.token)
+    _, consumer_id = _login(world)
     keypair = world.state.load_keypair(consumer_id)
     link = SkyLink(skylink)
-    license = _find_license(world, consumer_id, link.digest())
-    key = redeem_license(keypair.private_key, license, action, int(time.time()))
+    license, key = _redeem_newest(world, keypair, consumer_id, link.digest(), action)
     world.state.save_license(license)
     data = download_with_key(link, world.network, key)
     with open(out, "wb") as handle:
@@ -281,12 +280,10 @@ def play(state_root, skylink, out, action, show_key):
               help="Segment size (default: config value).")
 @click.option("--bandwidths", default=None,
               help="Comma-separated bits/s to also emit a master playlist.")
-@click.pass_obj
-@cli_errors
-def hls_package(state_root, file, outdir, key_uri, key_out, segment_bytes,
+@with_world
+def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
                 bandwidths):
     """Encrypt FILE into HLS segments plus an M3U8 playlist in OUTDIR."""
-    world = load_world(state_root)
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
@@ -311,11 +308,9 @@ def hls_package(state_root, file, outdir, key_uri, key_out, segment_bytes,
 
 
 @main.command("verify-chain")
-@click.pass_obj
-@cli_errors
-def verify_chain(state_root):
+@with_world
+def verify_chain(world):
     """Recheck every block in the persisted chain."""
-    world = load_world(state_root)
     bad_height = world.chain.verify()
     if bad_height is None:
         click.echo("ok")
@@ -331,10 +326,8 @@ def host():
 
 
 @host.command("list")
-@click.pass_obj
-@cli_errors
-def host_list(state_root):
-    world = load_world(state_root)
+@with_world
+def host_list(world):
     for h in world.network.hosts:
         status = "up" if h.alive else "down"
         click.echo(f"{h.host_id}\t{status}\t{h.fragment_count()} fragments")
@@ -342,10 +335,8 @@ def host_list(state_root):
 
 @host.command("fail")
 @click.argument("host_id")
-@click.pass_obj
-@cli_errors
-def host_fail(state_root, host_id):
-    world = load_world(state_root)
+@with_world
+def host_fail(world, host_id):
     fail_host(world.network, host_id)
     save_world(world)
     click.echo(f"{host_id} marked down")
@@ -353,10 +344,8 @@ def host_fail(state_root, host_id):
 
 @host.command("revive")
 @click.argument("host_id")
-@click.pass_obj
-@cli_errors
-def host_revive(state_root, host_id):
-    world = load_world(state_root)
+@with_world
+def host_revive(world, host_id):
     revive_host(world.network, host_id)
     save_world(world)
     click.echo(f"{host_id} marked up")
@@ -370,13 +359,20 @@ def host_revive(state_root, host_id):
 def serve(state_root, bind):
     """Run the identity endpoints as an HTTP JSON service.
 
-    Each registration is saved as it happens; sessions at shutdown.
+    Each registration is saved as it happens; sessions at shutdown, merged
+    with those on disk. The state's lock is held only for these and the load.
     """
-    world = load_world(state_root)
+    state = StateDirectory(state_root)
+    with state.locked():
+        world = load_world(state_root)
+
+    def save_account(account):
+        with state.locked():
+            state.save_account(account)
+
     bind_host, _, port_text = bind.rpartition(":")
     server = IdentityHttpServer(world.identity, host=bind_host or "127.0.0.1",
-                                port=int(port_text),
-                                on_register=world.state.save_account)
+                                port=int(port_text), on_register=save_account)
 
     def stop(signum, frame):
         raise KeyboardInterrupt
@@ -390,7 +386,10 @@ def serve(state_root, bind):
         pass
     finally:
         server.shutdown()
-        save_world(world)
+        with state.locked():
+            for session in state.load_sessions():
+                world.identity.restore_session(session)
+            state.save_sessions(world.identity.sessions())
         click.echo("Shut down cleanly")
 
 

@@ -114,6 +114,15 @@ class SessionToken:
         )
 
 
+def check_id(id: str) -> str:
+    """Return ID if it is a safe account id, else raise BadIdentifier."""
+    if not _ID_PATTERN.fullmatch(id) or id == _RESERVED_ID:
+        raise BadIdentifier(
+            f"account id must match {_ID_PATTERN.pattern} and not be "
+            f"{_RESERVED_ID!r}: {id!r}")
+    return id
+
+
 def solve_challenge(sealed_nonce: Envelope, private_key: bytes, verifier: Digest) -> Digest:
     """Client-side response: open the sealed nonce and bind it to the verifier."""
     nonce = open_envelope(private_key, sealed_nonce)
@@ -146,10 +155,7 @@ class IdentityService:
     # -- registration and login ------------------------------------------
 
     def register(self, id: str, password: str, public_key: bytes) -> Account:
-        if not _ID_PATTERN.fullmatch(id) or id == _RESERVED_ID:
-            raise BadIdentifier(
-                f"account id must match {_ID_PATTERN.pattern} and not be "
-                f"{_RESERVED_ID!r}: {id!r}")
+        check_id(id)
         if len(password) < MIN_PASSWORD_LENGTH:
             raise WeakPassword(f"password must be at least {MIN_PASSWORD_LENGTH} characters")
         if len(public_key) != 32:

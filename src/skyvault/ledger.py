@@ -29,7 +29,6 @@ that do not self-agree.
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -186,7 +185,7 @@ def compute_tx_root(tx_ids) -> Digest:
 
 
 class Chain:
-    """Single-node chain: serialized writes, read-only verification.
+    """Single-node chain: one writer at a time, read-only verification.
 
     ``blocks`` is the mined history; ``pending`` holds admitted
     transactions awaiting the next block, drained FIFO by mine_block.
@@ -203,17 +202,14 @@ class Chain:
         self.pending: list[Transaction] = []
         self._seen: set[bytes] = {
             tx.tx_id.value for block in self.blocks for tx in block.transactions}
-        self._lock = threading.Lock()
 
     def tip_hash(self) -> bytes:
-        with self._lock:
-            if not self.blocks:
-                return GENESIS_PREV_HASH
-            return self.blocks[-1].block_hash.value
+        if not self.blocks:
+            return GENESIS_PREV_HASH
+        return self.blocks[-1].block_hash.value
 
     def height(self) -> int:
-        with self._lock:
-            return len(self.blocks)
+        return len(self.blocks)
 
     def submit(self, tx: Transaction, provider_public: bytes) -> Digest:
         """Admit to pending after signature, freshness, and replay checks."""
@@ -228,36 +224,34 @@ class Chain:
         if abs(tx.timestamp - now) > TIMESTAMP_TOLERANCE:
             raise StaleTimestamp(
                 f"timestamp {tx.timestamp} outside ±{TIMESTAMP_TOLERANCE}s of {now}")
-        with self._lock:
-            if tx.tx_id.value in self._seen or any(
-                    p.tx_id == tx.tx_id for p in self.pending):
-                raise DuplicateTransaction(f"tx {tx.tx_id.hex} already submitted")
-            self.pending.append(tx)
+        if tx.tx_id.value in self._seen or any(
+                p.tx_id == tx.tx_id for p in self.pending):
+            raise DuplicateTransaction(f"tx {tx.tx_id.hex} already submitted")
+        self.pending.append(tx)
         return tx.tx_id
 
     def mine(self) -> Block:
         """Drain pending into a new block; scan nonces until difficulty is met."""
-        with self._lock:
-            if not self.pending:
-                raise NothingToMine("no pending transactions")
-            txs = tuple(self.pending)
-            self.pending.clear()
-            height = len(self.blocks)
-            prev_hash = self.blocks[-1].block_hash.value if self.blocks else GENESIS_PREV_HASH
-            tx_root = compute_tx_root(tx.tx_id for tx in txs)
-            timestamp = int(self.clock())
-            for nonce in range(1 << 64):
-                block_hash = digest(block_header_bytes(
-                    height, prev_hash, tx_root, timestamp, nonce))
-                if leading_zero_bits(block_hash.value) >= self.difficulty_bits:
-                    break
-            else:
-                raise RuntimeError("nonce space exhausted")
-            block = Block(height, prev_hash, tx_root, timestamp, nonce,
-                          txs, block_hash)
-            self.blocks.append(block)
-            self._seen.update(tx.tx_id.value for tx in txs)
-            return block
+        if not self.pending:
+            raise NothingToMine("no pending transactions")
+        txs = tuple(self.pending)
+        self.pending.clear()
+        height = len(self.blocks)
+        prev_hash = self.blocks[-1].block_hash.value if self.blocks else GENESIS_PREV_HASH
+        tx_root = compute_tx_root(tx.tx_id for tx in txs)
+        timestamp = int(self.clock())
+        for nonce in range(1 << 64):
+            block_hash = digest(block_header_bytes(
+                height, prev_hash, tx_root, timestamp, nonce))
+            if leading_zero_bits(block_hash.value) >= self.difficulty_bits:
+                break
+        else:
+            raise RuntimeError("nonce space exhausted")
+        block = Block(height, prev_hash, tx_root, timestamp, nonce,
+                      txs, block_hash)
+        self.blocks.append(block)
+        self._seen.update(tx.tx_id.value for tx in txs)
+        return block
 
     def verify(self) -> Optional[int]:
         """None when every block checks out, else the first bad height.
@@ -266,10 +260,8 @@ class Chain:
         header hash recomputation, difficulty, and tx_root
         recomputation. Needs no secret data and no signatures.
         """
-        with self._lock:
-            blocks = list(self.blocks)
         prev_hash = GENESIS_PREV_HASH
-        for i, block in enumerate(blocks):
+        for i, block in enumerate(self.blocks):
             ok = (
                 block.height == i
                 and block.prev_hash == prev_hash
@@ -284,9 +276,7 @@ class Chain:
 
     def find(self, tx_id: Digest) -> tuple[int, int]:
         """(height, position) of a mined transaction."""
-        with self._lock:
-            blocks = list(self.blocks)
-        for block in blocks:
+        for block in self.blocks:
             for position, tx in enumerate(block.transactions):
                 if tx.tx_id == tx_id:
                     return block.height, position

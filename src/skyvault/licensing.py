@@ -39,8 +39,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .crypto import Digest, Envelope, KeyPair, digest, open_envelope, seal
@@ -151,7 +150,7 @@ class Rights:
         return cls(frozenset(f.decode("utf-8") for f in unpack_fields(data)))
 
 
-@dataclass(eq=False)
+@dataclass
 class License:
     """Signed-by-hash usage grant; ``uses_consumed`` is local state."""
 
@@ -166,13 +165,6 @@ class License:
     issued_at: int
     license_hash: Digest
     uses_consumed: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, License):
-            return NotImplemented
-        return (self.canonical_bytes() == other.canonical_bytes()
-                and self.uses_consumed == other.uses_consumed)
 
     def hashed_fields(self) -> list[bytes]:
         return [
@@ -306,18 +298,17 @@ def issue_license(provider: KeyPair, consumer: Account, content_id: Digest,
 
 def check_rights(license: License, action: str, now: int) -> Decision:
     """Evaluate one action request; an allow consumes one use."""
-    with license._lock:
-        if action not in license.rights.allowed_actions:
-            return Decision.deny(DenyReason.ACTION_FORBIDDEN)
-        if now < license.key_rules.not_before:
-            return Decision.deny(DenyReason.NOT_YET_VALID)
-        if now > license.key_rules.not_after:
-            return Decision.deny(DenyReason.EXPIRED)
-        max_uses = license.key_rules.max_uses
-        if max_uses is not None and license.uses_consumed >= max_uses:
-            return Decision.deny(DenyReason.USES_EXHAUSTED)
-        license.uses_consumed += 1
-        return Decision.allow()
+    if action not in license.rights.allowed_actions:
+        return Decision.deny(DenyReason.ACTION_FORBIDDEN)
+    if now < license.key_rules.not_before:
+        return Decision.deny(DenyReason.NOT_YET_VALID)
+    if now > license.key_rules.not_after:
+        return Decision.deny(DenyReason.EXPIRED)
+    max_uses = license.key_rules.max_uses
+    if max_uses is not None and license.uses_consumed >= max_uses:
+        return Decision.deny(DenyReason.USES_EXHAUSTED)
+    license.uses_consumed += 1
+    return Decision.allow()
 
 
 def redeem_license(consumer_private: bytes, license: License, action: str,

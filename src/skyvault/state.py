@@ -15,10 +15,14 @@ Layout under the state root::
     catalog.json                published titles -> skylinks
     keys/<id>.json              client-side keypairs
     session.json                the client's current login
+    lock                        flock(2) target, see below
 
 Every file is the canonical format of its owning module, so a cold
 restart rebuilds identical state. The chain file is never rewritten,
-only appended to.
+only appended to. Commands on one state run one at a time: each holds
+``StateDirectory.locked`` from before it loads until after it saves.
+``serve`` holds it only to load, to save a registration, and at shutdown
+to merge its sessions with those on disk and save them, nothing else.
 
 A license file is named by the record's consumer fingerprint,
 digest(consumer id ‖ content id), and its license id, so ``play`` reads
@@ -28,18 +32,24 @@ only the caller's licenses for one title. Files under the older
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable
 
 from .crypto import Digest, KeyPair, digest
 from .errors import BadConfig, StateMissing, UnknownLicense, UnknownSkylink
-from .identity import Account, IdentityService, SessionToken
-from .ledger import Chain, load_chain
+from .hls import DEFAULT_SEGMENT_BYTES
+from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_TTL_DEFAULT, Account,
+                       IdentityService, SessionToken, check_id)
+from .ledger import DEFAULT_DIFFICULTY_BITS, Chain, load_chain
 from .licensing import License, consumer_fingerprint
-from .storage import FileManifest, Host, SkyLink, StorageNetwork
+from .storage import (DEFAULT_CHUNK_SIZE, DEFAULT_REPLICATION, FileManifest,
+                      Host, SkyLink, StorageNetwork)
 from .wire import b64u, b64u_decode
 
 CONFIG_FILENAME = "config"
@@ -48,13 +58,13 @@ CHAIN_FILENAME = "chain.log"
 
 @dataclass(frozen=True)
 class Config:
-    replication_factor: int = 3
-    chunk_size: int = 262144
-    pow_difficulty: int = 8
-    challenge_ttl: int = 120
-    session_ttl: int = 3600
+    replication_factor: int = DEFAULT_REPLICATION
+    chunk_size: int = DEFAULT_CHUNK_SIZE
+    pow_difficulty: int = DEFAULT_DIFFICULTY_BITS
+    challenge_ttl: int = CHALLENGE_TTL_DEFAULT
+    session_ttl: int = SESSION_TTL_DEFAULT
     host_count: int = 5
-    segment_bytes: int = 1048576
+    segment_bytes: int = DEFAULT_SEGMENT_BYTES
 
     def __post_init__(self):
         for field in dataclass_fields(self):
@@ -157,6 +167,18 @@ class StateDirectory:
     def require(self):
         if not self.exists():
             raise StateMissing(f"no state at {self.root} (run init first)")
+
+    @contextmanager
+    def locked(self):
+        """Hold an exclusive flock(2) on ``lock`` for the block, across
+        processes. Each entry opens the file anew: nested entries deadlock."""
+        self.require()
+        fd = os.open(self.root / "lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
 
     # -- config ---------------------------------------------------------------
 
@@ -281,11 +303,11 @@ class StateDirectory:
     def save_keypair(self, id: str, keypair: KeyPair):
         payload = {"id": id, "public_key": b64u(keypair.public_key),
                    "private_key": b64u(keypair.private_key)}
-        (self.keys_dir / f"{id}.json").write_text(
+        (self.keys_dir / f"{check_id(id)}.json").write_text(
             json.dumps(payload, indent=2), encoding="utf-8")
 
     def load_keypair(self, id: str) -> KeyPair:
-        path = self.keys_dir / f"{id}.json"
+        path = self.keys_dir / f"{check_id(id)}.json"
         if not path.is_file():
             raise StateMissing(f"no keypair for {id} (register here first)")
         payload = json.loads(path.read_text(encoding="utf-8"))

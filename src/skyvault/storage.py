@@ -28,7 +28,6 @@ field framing; also documented in the README):
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass
 
 from .crypto import Digest, Envelope, KeyPair, digest, open_envelope, seal, sym_decrypt, sym_encrypt
@@ -145,28 +144,23 @@ class Host:
         self.host_id = host_id
         self.alive = alive
         self._fragments: dict[bytes, bytes] = {}
-        self._lock = threading.Lock()
 
     def store(self, ciphertext_digest: Digest, ciphertext: bytes):
         if not self.alive:
             raise HostDown(f"host {self.host_id} is down")
-        with self._lock:
-            self._fragments[ciphertext_digest.value] = ciphertext
+        self._fragments[ciphertext_digest.value] = ciphertext
 
     def fetch(self, ciphertext_digest: Digest) -> bytes | None:
         """Return the fragment, or None if this host never stored it."""
         if not self.alive:
             raise HostDown(f"host {self.host_id} is down")
-        with self._lock:
-            return self._fragments.get(ciphertext_digest.value)
+        return self._fragments.get(ciphertext_digest.value)
 
     def fragments(self) -> dict[bytes, bytes]:
-        with self._lock:
-            return dict(self._fragments)
+        return dict(self._fragments)
 
     def fragment_count(self) -> int:
-        with self._lock:
-            return len(self._fragments)
+        return len(self._fragments)
 
 
 class StorageNetwork:
@@ -179,7 +173,6 @@ class StorageNetwork:
         self.hosts: list[Host] = hosts if hosts is not None else []
         self.replication_factor = replication_factor
         self._manifests: dict[bytes, FileManifest] = {}
-        self._lock = threading.RLock()
 
     @classmethod
     def with_hosts(cls, count: int, replication_factor: int = DEFAULT_REPLICATION) -> "StorageNetwork":
@@ -196,23 +189,20 @@ class StorageNetwork:
         return [host for host in self.hosts if host.alive]
 
     def register_manifest(self, link: SkyLink, manifest: FileManifest):
-        with self._lock:
-            self._manifests[link.digest().value] = manifest
+        self._manifests[link.digest().value] = manifest
 
     def lookup(self, link: SkyLink) -> FileManifest:
         try:
             key = link.digest().value
         except ValueError as exc:
             raise UnknownSkylink(f"malformed skylink: {exc}") from exc
-        with self._lock:
-            manifest = self._manifests.get(key)
+        manifest = self._manifests.get(key)
         if manifest is None:
             raise UnknownSkylink(f"no manifest for {link.text}")
         return manifest
 
     def manifests(self) -> list[FileManifest]:
-        with self._lock:
-            return list(self._manifests.values())
+        return list(self._manifests.values())
 
 
 def chunk_file(data: bytes, chunk_size: int) -> list[bytes]:

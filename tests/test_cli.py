@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import urllib.request
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +19,8 @@ from skyvault.cli import main
 from skyvault.crypto import Envelope, derive_credential, generate_keypair
 from skyvault.hls import read_package, unpackage
 from skyvault.identity import solve_challenge
-from skyvault.state import StateDirectory
+from skyvault.ledger import load_chain
+from skyvault.state import Config, StateDirectory
 from skyvault.storage import SkyLink
 from skyvault.wire import b64u, b64u_decode
 
@@ -153,6 +155,16 @@ class TestErrors:
         assert not (root / "accounts" / "sessions.json").exists()
         assert not list((root / "keys").iterdir())
 
+    def test_keystore_ids_checked(self, runner, root, tmp_path):
+        bootstrap(runner, root, tmp_path)
+        bad_id = "../accounts/alice-consumer"
+        result = run(runner, root, "login", bad_id, "--password", PASSWORD,
+                     expect=1)
+        assert stderr_json(result)["error"] == "bad_identifier"
+        result = run(runner, root, "upload", str(tmp_path / "feature.bin"),
+                     "--as", bad_id, expect=1)
+        assert stderr_json(result)["error"] == "bad_identifier"
+
     def test_wrong_password_login(self, runner, root):
         run(runner, root, "init")
         run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
@@ -166,6 +178,17 @@ class TestErrors:
         result = run(runner, root, "download", skylink,
                      str(tmp_path / "x.bin"), expect=1)
         assert stderr_json(result)["error"] == "key_access_denied"
+
+
+class TestInit:
+    def test_options_mirror_config(self):
+        options = {param.name: param.default for param in main.commands["init"].params}
+        assert options == {field.name: field.default
+                           for field in dataclass_fields(Config)}
+
+    def test_bare_init_writes_default_config(self, runner, root):
+        run(runner, root, "init")
+        assert (root / "config").read_text(encoding="utf-8") == Config().to_text()
 
 
 class TestHlsCommand:
@@ -254,7 +277,8 @@ class TestLicenseLookup:
         run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
         assert "uses: 1/2" in play().output
         assert "uses: 2/2" in play().output
-        assert stderr_json(play(expect=1))["reason"] == "UsesExhausted"
+        # The newest is spent, so the older license that still allows is used.
+        assert "uses: 1/5" in play().output
 
         state = StateDirectory(root)
         uses = {}
@@ -263,15 +287,97 @@ class TestLicenseLookup:
             name = f"{lic.consumer_fingerprint.hex}-{license_id.hex()}.json"
             assert (state.licenses_dir / name).is_file()
             uses[license_id] = lic.uses_consumed
-        assert uses == {alice_old: 0, alice_new: 2, bob_only: 1}
+        assert uses == {alice_old: 1, alice_new: 2, bob_only: 1}
         content_id = SkyLink(skylink).digest()
         assert {lic.license_id for lic in state.load_licenses(
             "alice-consumer", content_id)} == {alice_old, alice_new}
+
+    def test_play_breaks_issue_time_ties_by_license_id(self, runner, root, tmp_path,
+                                                        monkeypatch):
+        _, skylink = bootstrap(runner, root, tmp_path)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        now = int(time.time())
+        monkeypatch.setattr("skyvault.cli.time", SimpleNamespace(time=lambda: now))
+        bought = [re.search(r"license ([0-9a-f]+)", run(runner, root, "buy", skylink).output)[1]
+                  for _ in range(2)]
+        run(runner, root, "play", skylink, str(tmp_path / "out.bin"))
+        state = StateDirectory(root)
+        uses = {license_id: state.load_license(bytes.fromhex(license_id)).uses_consumed
+                for license_id in bought}
+        assert uses == {max(bought): 1, min(bought): 0}
 
 
 def _src_env(**extra) -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=src, **extra)
+
+
+# A child that imports the CLI, says so, and runs its command once told to.
+_RACER = """
+import sys
+from skyvault.cli import main
+print("ready", flush=True)
+sys.stdin.readline()
+main(sys.argv[1:], prog_name="skyvault")
+"""
+
+
+def _race(root, commands: list[list[str]]) -> list[tuple[int, str, str]]:
+    """Run each command in its own process, all starting at once.
+
+    Imports take most of a cold command's time, so the children start
+    only when every one has imported: their loads and saves then overlap.
+    Returns (exit code, stdout, stderr) per command.
+    """
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _RACER, "--state", str(root), *command],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=_src_env()) for command in commands]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n", proc.stderr.read()
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        return [(proc.returncode, out, err)
+                for proc, (out, err) in zip(procs, outputs)]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+class TestConcurrentCommands:
+    def test_parallel_plays_spend_the_budget_exactly(self, runner, root, tmp_path):
+        media, skylink = bootstrap(runner, root, tmp_path)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        result = run(runner, root, "buy", skylink, "--max-uses", "2")
+        license_id = bytes.fromhex(re.search(r"license ([0-9a-f]+)", result.output)[1])
+
+        results = _race(root, [["play", skylink, str(tmp_path / f"out{i}.bin")]
+                               for i in range(6)])
+        played = [i for i, (code, _, _) in enumerate(results) if code == 0]
+        assert len(played) == 2, results
+        for i in played:
+            assert (tmp_path / f"out{i}.bin").read_bytes() == media
+        for code, _, err in results:
+            if code != 0:
+                assert json.loads(err)["reason"] == "UsesExhausted", err
+        assert StateDirectory(root).load_license(license_id).uses_consumed == 2
+
+    def test_parallel_buys_extend_one_chain(self, runner, root, tmp_path):
+        _, skylink = bootstrap(runner, root, tmp_path)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+
+        results = _race(root, [["buy", skylink]] * 4)
+        assert [code for code, _, _ in results] == [0] * 4, results
+        heights = sorted(int(re.search(r"committed in block (\d+)", out)[1])
+                         for _, out, _ in results)
+        assert heights == [0, 1, 2, 3]
+        assert run(runner, root, "verify-chain").output.strip() == "ok"
+        assert len(load_chain(root / "chain.log").blocks) == 4
 
 
 class TestColdStart:
@@ -315,6 +421,33 @@ class TestServe:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     raise
+
+    def test_shutdown_keeps_other_commands_writes(self, runner, root):
+        run(runner, root, "init")
+        state = StateDirectory(root)
+        with subprocess.Popen(
+                [sys.executable, "-m", "skyvault", "--state", str(root), "serve",
+                 "--bind", "127.0.0.1:0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=_src_env(PYTHONUNBUFFERED="1")) as proc:
+            try:
+                self._check_serving(proc, state)
+                run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
+                run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+                run(runner, root, "host", "fail", "h1")
+            finally:
+                proc.terminate()
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    raise
+        assert proc.returncode == 0, proc.stderr.read()
+        assert "h1\tdown" in run(runner, root, "host", "list").output
+        owners = {session.account_id for session in state.load_sessions()}
+        assert owners == {"carol-viewer", "alice-consumer"}
+        assert state.load_login().token in {s.token for s in state.load_sessions()}
+        assert [a.id for a in state.load_accounts()] == ["alice-consumer", "carol-viewer"]
 
     @staticmethod
     def _check_serving(proc, state):

@@ -208,6 +208,14 @@ class TestStateDirectory:
         assert entry["title"] == "Example Feature"
         assert entry["provider_id"] == "studio-prime"
 
+    @pytest.mark.parametrize("bad_id", ["../accounts/alice-consumer", "sessions"])
+    def test_keystore_refuses_unsafe_ids(self, state, bad_id):
+        with pytest.raises(BadIdentifier):
+            state.save_keypair(bad_id, generate_keypair())
+        with pytest.raises(BadIdentifier):
+            state.load_keypair(bad_id)
+        assert not list(state.keys_dir.iterdir())
+
     def test_login_round_trip(self, state):
         from skyvault.identity import SessionToken
         session = SessionToken(token=b"\x11" * 32, account_id="alice-consumer",
