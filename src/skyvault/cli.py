@@ -1,12 +1,13 @@
 """Command-line gateway: one subcommand per workflow step.
 
 State lives in a directory chosen by ``--state`` or the SKYVAULT_STATE
-environment variable. Commands load it cold, act, and persist before
-exiting; a later invocation (or a different machine pointed at a copy)
-sees identical state; commands on one state run one at a time (see
-:mod:`skyvault.state`). Failures print one JSON object on stderr,
-``{"error": <stable code>, "message": ...}``, and exit nonzero; no
-command prints key material unless ``play --show-key`` is given.
+environment variable. Commands load it cold, act, and write what they
+changed before exiting; a later invocation (or a different machine
+pointed at a copy) sees identical state; commands on one state run one
+at a time (see :mod:`skyvault.state`). Failures print one JSON object
+on stderr, ``{"error": <stable code>, "message": ...}``, and exit
+nonzero; no command prints key material unless ``play --show-key`` is
+given.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .licensing import (
     redeem_license,
 )
 from .service import IdentityHttpServer
-from .state import Config, StateDirectory, load_world, save_world
+from .state import Config, StateDirectory, load_identity, load_world
 from .storage import SkyLink, download_with_key, fail_host, revive_host
 from .storage import download as storage_download
 from .storage import upload as storage_upload
@@ -107,8 +108,8 @@ def init(state_root, **settings):
 def register(world, id, password):
     """Create a keypair and register ID with the identity service."""
     keypair = generate_keypair()
-    world.identity.register(id, password, keypair.public_key)
-    save_world(world)
+    account = world.identity.register(id, password, keypair.public_key)
+    world.state.save_account(account)
     world.state.save_keypair(id, keypair)
     click.echo(f"Registered {id}")
 
@@ -125,7 +126,7 @@ def login(world, id, password):
     response = solve_challenge(challenge.sealed_nonce, keypair.private_key,
                                verifier)
     session = world.identity.complete_auth(challenge.challenge_id, response)
-    save_world(world)
+    world.state.save_sessions(world.identity.sessions())
     world.state.save_login(session)
     click.echo(f"Logged in as {id}; session valid until {session.expires_at}")
 
@@ -151,7 +152,7 @@ def upload(world, file, as_id):
         data = handle.read()
     link, _ = storage_upload(data, world.network, keypair,
                              chunk_size=world.config.chunk_size)
-    save_world(world)
+    world.state.save_network(world.network)
     click.echo(f"Successfully uploaded file! Skylink: {link.text}")
 
 
@@ -218,7 +219,6 @@ def buy(world, skylink, valid_seconds, max_uses, actions):
     )
     block = world.chain.mine()
     append_block(world.state.chain_path, block)
-    save_world(world)
     world.state.save_license(result.license)
     world.state.save_secret(result.tx_id.hex, result.sealed_secret_block.to_bytes())
     click.echo(f"Purchased {entry['title']!r}: license "
@@ -338,7 +338,7 @@ def host_list(world):
 @with_world
 def host_fail(world, host_id):
     fail_host(world.network, host_id)
-    save_world(world)
+    world.state.save_network(world.network)
     click.echo(f"{host_id} marked down")
 
 
@@ -347,7 +347,7 @@ def host_fail(world, host_id):
 @with_world
 def host_revive(world, host_id):
     revive_host(world.network, host_id)
-    save_world(world)
+    world.state.save_network(world.network)
     click.echo(f"{host_id} marked up")
 
 
@@ -359,20 +359,30 @@ def host_revive(world, host_id):
 def serve(state_root, bind):
     """Run the identity endpoints as an HTTP JSON service.
 
-    Each registration is saved as it happens; sessions at shutdown, merged
-    with those on disk. The state's lock is held only for these and the load.
+    Only accounts and sessions are loaded. Each registration is checked
+    against the accounts on disk and saved as it happens; sessions at
+    shutdown, merged with those on disk. The state's lock is held only
+    for these and the load.
     """
     state = StateDirectory(state_root)
     with state.locked():
-        world = load_world(state_root)
+        identity = load_identity(state, state.load_config(), time.time)
 
-    def save_account(account):
+    def register(id, password, public_key):
+        # Accounts other commands saved since the load come in first, so
+        # that an id taken meanwhile is a duplicate here too.
         with state.locked():
+            known = {account.id for account in identity.accounts()}
+            for account in state.load_accounts():
+                if account.id not in known:
+                    identity.restore_account(account)
+            account = identity.register(id, password, public_key)
             state.save_account(account)
+            return account
 
     bind_host, _, port_text = bind.rpartition(":")
-    server = IdentityHttpServer(world.identity, host=bind_host or "127.0.0.1",
-                                port=int(port_text), on_register=save_account)
+    server = IdentityHttpServer(identity, host=bind_host or "127.0.0.1",
+                                port=int(port_text), register=register)
 
     def stop(signum, frame):
         raise KeyboardInterrupt
@@ -388,8 +398,8 @@ def serve(state_root, bind):
         server.shutdown()
         with state.locked():
             for session in state.load_sessions():
-                world.identity.restore_session(session)
-            state.save_sessions(world.identity.sessions())
+                identity.restore_session(session)
+            state.save_sessions(identity.sessions())
         click.echo("Shut down cleanly")
 
 

@@ -57,7 +57,7 @@ class _BadRequest(Exception):
 
 
 def _handler_class(identity: IdentityService,
-                   on_register: Callable[[Account], None] | None):
+                   register: Callable[[str, str, bytes], Account]):
     # Imported here, not at module level: only `serve` needs the HTTP
     # stack, and every other command would pay for loading it.
     from http.server import BaseHTTPRequestHandler
@@ -77,11 +77,9 @@ def _handler_class(identity: IdentityService,
             try:
                 body = self._read_json()
                 if self.path == "/register":
-                    account = identity.register(
+                    account = register(
                         _text(body, "id"), _text(body, "password"),
                         _octets(body, "public_key"))
-                    if on_register is not None:
-                        on_register(account)
                     self._reply(200, {"id": account.id,
                                       "created_at": account.created_at})
                 elif self.path == "/auth/begin":
@@ -183,17 +181,18 @@ def _octets(body: dict, key: str) -> bytes:
 class IdentityHttpServer:
     """Threaded HTTP server wrapping one IdentityService.
 
-    ``on_register``, if given, is called with each new account before
-    its registration is answered, so the caller can persist it at once.
+    ``register``, if given, stands in for ``identity.register`` on
+    ``POST /register``, so the caller can check each new account against
+    its store and persist it before the registration is answered.
     """
 
     def __init__(self, identity: IdentityService, host: str = "127.0.0.1",
                  port: int = 0,
-                 on_register: Callable[[Account], None] | None = None):
+                 register: Callable[[str, str, bytes], Account] | None = None):
         from http.server import ThreadingHTTPServer
 
         self._server = ThreadingHTTPServer(
-            (host, port), _handler_class(identity, on_register))
+            (host, port), _handler_class(identity, register or identity.register))
         self._thread: threading.Thread | None = None
 
     @property

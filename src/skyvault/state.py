@@ -18,11 +18,29 @@ Layout under the state root::
     lock                        flock(2) target, see below
 
 Every file is the canonical format of its owning module, so a cold
-restart rebuilds identical state. The chain file is never rewritten,
-only appended to. Commands on one state run one at a time: each holds
-``StateDirectory.locked`` from before it loads until after it saves.
-``serve`` holds it only to load, to save a registration, and at shutdown
-to merge its sessions with those on disk and save them, nothing else.
+restart rebuilds identical state. Each kind of file has one writer, in
+this module or, for the chain, ``ledger.append_block``, and a command
+calls only the writers for what it changed:
+
+    register                    accounts/<id>.json, keys/<id>.json
+    login                       accounts/sessions.json, session.json
+    upload, host fail/revive    hosts/, manifests/ (``save_network``)
+    publish                     catalog.json
+    buy                         chain.log, one license, one secret
+    play                        the license it redeemed
+
+``save_network`` rewrites the roster and every manifest, but writes a
+fragment file only when it does not exist yet: the file is named by the
+digest of its bytes, so one that exists already holds them. The chain
+file is never rewritten, only appended to. ``save_world`` is the bulk
+save for a world built through the library; no command calls it.
+
+Commands on one state run one at a time: each holds
+``StateDirectory.locked`` from before it loads until after it writes.
+``serve`` loads only accounts and sessions. It holds the lock only to
+load them, to register an account (after restoring those that other
+commands saved meanwhile), and at shutdown to merge its sessions with
+those on disk and save them, nothing else.
 
 A license file is named by the record's consumer fingerprint,
 digest(consumer id ‖ content id), and its license id, so ``play`` reads
@@ -220,7 +238,9 @@ class StateDirectory:
             host_dir = self.hosts_dir / host.host_id
             host_dir.mkdir(exist_ok=True)
             for fragment_digest, fragment in host.fragments().items():
-                (host_dir / fragment_digest.hex()).write_bytes(fragment)
+                path = host_dir / fragment_digest.hex()
+                if not path.exists():  # named by its digest: same name, same bytes
+                    path.write_bytes(fragment)
         for manifest in network.manifests():
             link_digest = digest(manifest.core_bytes())
             path = self.manifests_dir / f"{link_digest.hex}.manifest"
@@ -355,9 +375,9 @@ class World:
     chain: Chain
 
 
-def load_world(root, clock: Callable[[], float] = time.time) -> World:
-    state = StateDirectory(root)
-    config = state.load_config()
+def load_identity(state: StateDirectory, config: Config,
+                  clock: Callable[[], float]) -> IdentityService:
+    """The accounts and sessions: all of the state that ``serve`` reads."""
     identity = IdentityService(clock=lambda: int(clock()),
                                challenge_ttl=config.challenge_ttl,
                                session_ttl=config.session_ttl)
@@ -365,6 +385,13 @@ def load_world(root, clock: Callable[[], float] = time.time) -> World:
         identity.restore_account(account)
     for session in state.load_sessions():
         identity.restore_session(session)
+    return identity
+
+
+def load_world(root, clock: Callable[[], float] = time.time) -> World:
+    state = StateDirectory(root)
+    config = state.load_config()
+    identity = load_identity(state, config, clock)
     network = state.load_network(config)
     chain = load_chain(state.chain_path, difficulty_bits=config.pow_difficulty,
                        clock=clock)
@@ -373,7 +400,9 @@ def load_world(root, clock: Callable[[], float] = time.time) -> World:
 
 
 def save_world(world: World):
-    """Persist everything except the chain, which is append-only."""
+    """Persist everything except the chain, which is append-only: the
+    bulk save for a world built through the library. Commands call the
+    one writer for what they changed instead."""
     for account in world.identity.accounts():
         world.state.save_account(account)
     world.state.save_sessions(world.identity.sessions())

@@ -1,8 +1,12 @@
+import os
 import random
 import shutil
 import subprocess
 
 import pytest
+from click.testing import CliRunner
+
+from skyvault.cli import main
 
 
 def openssl_available() -> bool:
@@ -49,3 +53,34 @@ class FakeClock:
 @pytest.fixture
 def clock():
     return FakeClock()
+
+
+_PAST_NS = 1_000_000_000 * 10**9  # 2001-09-09: older than any file a test writes
+
+
+def _file_stats(root) -> dict[str, tuple[int, int, int]]:
+    stats = {}
+    for path in root.rglob("*"):
+        if path.is_file():
+            st = path.stat()
+            stats[str(path.relative_to(root))] = (st.st_ino, st.st_mtime_ns, st.st_size)
+    return stats
+
+
+def files_written(root, *args) -> set[str]:
+    """Run one CLI command on the state at ROOT and return the paths,
+    relative to ROOT, of the files it created, rewrote or removed.
+
+    Every file is first dated to one fixed past mtime, so that a rewrite
+    shows even when it lands within the same timer tick as the last one.
+    """
+    for path in root.rglob("*"):
+        if path.is_file():
+            os.utime(path, ns=(_PAST_NS, _PAST_NS))
+    before = _file_stats(root)
+    result = CliRunner().invoke(main, ["--state", str(root), *args],
+                                catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    after = _file_stats(root)
+    return {path for path in before.keys() | after.keys()
+            if before.get(path) != after.get(path)}

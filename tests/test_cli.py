@@ -1,5 +1,6 @@
 """CLI gateway: the full operator workflow, persisted between invocations."""
 
+import contextlib
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import select
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -14,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from conftest import files_written
 
 from skyvault.cli import main
 from skyvault.crypto import Envelope, derive_credential, generate_keypair
@@ -307,6 +310,76 @@ class TestLicenseLookup:
         assert uses == {max(bought): 1, min(bought): 0}
 
 
+@pytest.fixture
+def bought(runner, root, tmp_path):
+    """Two uploads, one of them published and bought; alice-consumer is
+    logged in. Returns the skylinks of the bought and the other upload."""
+    _, skylink = bootstrap(runner, root, tmp_path, size=50_000)
+    second = tmp_path / "second.bin"
+    second.write_bytes(os.urandom(50_000))
+    other = run(runner, root, "upload", str(second)).output.split("Skylink: ")[1].strip()
+    run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+    run(runner, root, "buy", skylink)
+    return SimpleNamespace(skylink=skylink, other=other)
+
+
+class TestWriteSets:
+    """Each command writes only the files for what it changed."""
+
+    def test_register(self, root, bought):
+        assert files_written(root, "register", "carol-viewer", "--password",
+                             PASSWORD) == {"accounts/carol-viewer.json",
+                                           "keys/carol-viewer.json"}
+
+    def test_login(self, root, bought):
+        assert files_written(root, "login", "studio-prime", "--password",
+                             PASSWORD) == {"accounts/sessions.json", "session.json"}
+
+    def test_publish(self, root, bought):
+        assert files_written(root, "publish", bought.other, "--title", "Second",
+                             "--as", "studio-prime") == {"catalog.json"}
+
+    def test_buy(self, root, bought):
+        held = {f"licenses/{name}" for name in os.listdir(root / "licenses")}
+        written = files_written(root, "buy", bought.skylink)
+        new = written - {"chain.log"}
+        assert "chain.log" in written
+        assert len(new) == 2 and not new & held
+        assert {path.split("/")[0] for path in new} == {"licenses", "secrets"}
+
+    def test_play(self, root, bought, tmp_path):
+        held = {f"licenses/{name}" for name in os.listdir(root / "licenses")}
+        assert files_written(root, "play", bought.skylink,
+                             str(tmp_path / "out.bin")) == held
+
+    @pytest.mark.parametrize("command", [["host", "fail", "h1"],
+                                         ["host", "revive", "h1"],
+                                         ["upload", "--as", "studio-prime"]])
+    def test_network_commands_keep_fragments_and_accounts(self, runner, root, bought,
+                                                          tmp_path, command):
+        if command[0] == "upload":
+            media = tmp_path / "third.bin"
+            media.write_bytes(os.urandom(50_000))
+            command = [*command, str(media)]
+        if command[:2] == ["host", "revive"]:
+            run(runner, root, "host", "fail", "h1")
+        kept = {str(path.relative_to(root)) for pattern in ("hosts/h*/*", "accounts/*")
+                for path in root.glob(pattern)}
+        written = files_written(root, *command)
+        assert not written & kept
+        assert {path.split("/")[0] for path in written} <= {"hosts", "manifests"}
+        if command[0] == "host":
+            assert {path for path in written if path.startswith("hosts/")} == {
+                "hosts/roster.json"}
+
+    @pytest.mark.parametrize("command", [["host", "list"], ["verify-chain"],
+                                         ["download", "--as", "studio-prime"]])
+    def test_reading_commands_write_nothing(self, root, bought, tmp_path, command):
+        if command[0] == "download":
+            command = [*command, bought.skylink, str(tmp_path / "out.bin")]
+        assert files_written(root, *command) == set()
+
+
 def _src_env(**extra) -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=src, **extra)
@@ -404,44 +477,51 @@ def _post(url: str, payload: dict) -> dict:
         return json.loads(response.read())
 
 
+@contextlib.contextmanager
+def _serving(root):
+    """``skyvault serve`` on ROOT at an ephemeral port: yields the process
+    and its URL once it has printed its banner, and stops it after."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "skyvault", "--state", str(root), "serve",
+             "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_src_env(PYTHONUNBUFFERED="1")) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "serve printed no banner within 30 s"
+            banner = proc.stdout.readline()
+            assert banner.startswith("Serving identity API on "), banner
+            yield proc, banner.split(" on ", 1)[1].strip()
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+
+
+def _peak_rss_kib(pid: int) -> int:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    raise AssertionError("no VmHWM (Linux only)")
+
+
 class TestServe:
     def test_registration_saved_while_serving(self, runner, root):
         run(runner, root, "init")
-        with subprocess.Popen(
-                [sys.executable, "-m", "skyvault", "--state", str(root), "serve",
-                 "--bind", "127.0.0.1:0"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                env=_src_env(PYTHONUNBUFFERED="1")) as proc:
-            try:
-                self._check_serving(proc, StateDirectory(root))
-            finally:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    raise
+        with _serving(root) as (proc, url):
+            self._check_serving(proc, url, StateDirectory(root))
 
     def test_shutdown_keeps_other_commands_writes(self, runner, root):
         run(runner, root, "init")
         state = StateDirectory(root)
-        with subprocess.Popen(
-                [sys.executable, "-m", "skyvault", "--state", str(root), "serve",
-                 "--bind", "127.0.0.1:0"],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                env=_src_env(PYTHONUNBUFFERED="1")) as proc:
-            try:
-                self._check_serving(proc, state)
-                run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
-                run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
-                run(runner, root, "host", "fail", "h1")
-            finally:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    raise
+        with _serving(root) as (proc, url):
+            self._check_serving(proc, url, state)
+            run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
+            run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+            run(runner, root, "host", "fail", "h1")
         assert proc.returncode == 0, proc.stderr.read()
         assert "h1\tdown" in run(runner, root, "host", "list").output
         owners = {session.account_id for session in state.load_sessions()}
@@ -449,13 +529,42 @@ class TestServe:
         assert state.load_login().token in {s.token for s in state.load_sessions()}
         assert [a.id for a in state.load_accounts()] == ["alice-consumer", "carol-viewer"]
 
+    def test_register_refuses_an_id_taken_since_start(self, runner, root):
+        run(runner, root, "init")
+        account_file = StateDirectory(root).accounts_dir / "dave-viewer.json"
+        with _serving(root) as (proc, url):
+            run(runner, root, "register", "dave-viewer", "--password", PASSWORD)
+            saved = account_file.read_bytes()
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                _post(url + "/register", {
+                    "id": "dave-viewer", "password": "another password",
+                    "public_key": b64u(generate_keypair().public_key)})
+            assert refused.value.code == 409
+            assert json.loads(refused.value.read())["error"] == "duplicate_id"
+        assert proc.returncode == 0, proc.stderr.read()
+        assert account_file.read_bytes() == saved
+        run(runner, root, "login", "dave-viewer", "--password", PASSWORD)
+
+    def test_memory_does_not_grow_with_stored_bytes(self, runner, tmp_path):
+        # serve reads accounts and sessions only, never the fragments.
+        peaks = []
+        for stored in (0, 8 << 20):
+            root = tmp_path / f"state-{stored}"
+            run(runner, root, "init")
+            if stored:
+                run(runner, root, "register", "studio-prime", "--password", PASSWORD)
+                media = tmp_path / "media.bin"
+                media.write_bytes(os.urandom(stored))
+                run(runner, root, "upload", "--as", "studio-prime", str(media))
+            with _serving(root) as (proc, url):
+                _post(url + "/register", {
+                    "id": "carol-viewer", "password": PASSWORD,
+                    "public_key": b64u(generate_keypair().public_key)})
+                peaks.append(_peak_rss_kib(proc.pid))
+        assert abs(peaks[1] - peaks[0]) < 5 * 1024, peaks
+
     @staticmethod
-    def _check_serving(proc, state):
-        ready, _, _ = select.select([proc.stdout], [], [], 30)
-        assert ready, "serve printed no banner within 30 s"
-        banner = proc.stdout.readline()
-        assert banner.startswith("Serving identity API on "), banner
-        url = banner.split(" on ", 1)[1].strip()
+    def _check_serving(proc, url, state):
         keypair = generate_keypair()
         _post(url + "/register", {"id": "carol-viewer", "password": PASSWORD,
                                   "public_key": b64u(keypair.public_key)})

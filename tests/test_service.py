@@ -81,8 +81,14 @@ class TestEndpoints:
         assert body["error"] == "bad_identifier"
 
     def test_registration_callback(self):
-        saved = []
-        srv = IdentityHttpServer(IdentityService(), port=0, on_register=saved.append)
+        identity, saved = IdentityService(), []
+
+        def register_and_save(*args):
+            account = identity.register(*args)
+            saved.append(account)
+            return account
+
+        srv = IdentityHttpServer(identity, port=0, register=register_and_save)
         srv.start()
         try:
             register(srv)
