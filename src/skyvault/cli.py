@@ -150,9 +150,10 @@ def upload(world, file, as_id):
     keypair = world.state.load_keypair(uploader_id)
     with open(file, "rb") as handle:
         data = handle.read()
-    link, _ = storage_upload(data, world.network, keypair,
-                             chunk_size=world.config.chunk_size)
-    world.state.save_network(world.network)
+    link, manifest = storage_upload(data, world.network, keypair,
+                                    chunk_size=world.config.chunk_size)
+    world.state.save_fragments(world.network)
+    world.state.save_manifest(manifest)
     click.echo(f"Successfully uploaded file! Skylink: {link.text}")
 
 
@@ -276,7 +277,7 @@ def play(world, skylink, out, action, show_key):
               help="Key URI for the playlist (default: license placeholder).")
 @click.option("--key-out", type=click.Path(dir_okay=False), default=None,
               help="Write the key here; must not live inside OUTDIR.")
-@click.option("--segment-bytes", type=int, default=None,
+@click.option("--segment-bytes", type=click.IntRange(min=1), default=None,
               help="Segment size (default: config value).")
 @click.option("--bandwidths", default=None,
               help="Comma-separated bits/s to also emit a master playlist.")
@@ -284,15 +285,17 @@ def play(world, skylink, out, action, show_key):
 def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
                 bandwidths):
     """Encrypt FILE into HLS segments plus an M3U8 playlist in OUTDIR."""
+    if key_out and Path(outdir).resolve() in Path(key_out).resolve().parents:
+        raise click.UsageError("--key-out must not point inside OUTDIR")
+    if segment_bytes is None:
+        segment_bytes = world.config.segment_bytes
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
     kwargs = {}
     if key_uri:
         kwargs["key_uri"] = key_uri
-    pkg = package(media, key,
-                  segment_bytes=segment_bytes or world.config.segment_bytes,
-                  **kwargs)
+    pkg = package(media, key, segment_bytes=segment_bytes, **kwargs)
     master = None
     if bandwidths:
         master = master_playlist([
@@ -300,10 +303,7 @@ def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
             for b in bandwidths.split(",")])
     write_package(pkg, outdir, master=master)
     if key_out:
-        key_path = Path(key_out).resolve()
-        if Path(outdir).resolve() in key_path.parents:
-            raise click.UsageError("--key-out must not point inside OUTDIR")
-        key_path.write_bytes(key)
+        Path(key_out).write_bytes(key)
     click.echo(f"Packaged {len(pkg.segments)} segments into {outdir}")
 
 
@@ -338,7 +338,7 @@ def host_list(world):
 @with_world
 def host_fail(world, host_id):
     fail_host(world.network, host_id)
-    world.state.save_network(world.network)
+    world.state.save_roster(world.network)
     click.echo(f"{host_id} marked down")
 
 
@@ -347,7 +347,7 @@ def host_fail(world, host_id):
 @with_world
 def host_revive(world, host_id):
     revive_host(world.network, host_id)
-    world.state.save_network(world.network)
+    world.state.save_roster(world.network)
     click.echo(f"{host_id} marked up")
 
 

@@ -190,6 +190,10 @@ class EmptyRights(SkyVaultError):
     code = "empty_rights"
 
 
+class UnknownAction(SkyVaultError):
+    code = "unknown_action"
+
+
 class RightsDenied(SkyVaultError):
     """Key redemption refused by the license's rules."""
 

@@ -53,6 +53,7 @@ from .errors import (
     NotAuthenticated,
     OpenFailed,
     RightsDenied,
+    UnknownAction,
     UnknownContent,
     UnknownSkylink,
 )
@@ -135,7 +136,7 @@ class Rights:
             raise EmptyRights("rights must allow at least one action")
         unknown = set(self.allowed_actions) - ALL_ACTIONS
         if unknown:
-            raise ValueError(f"unknown actions: {sorted(unknown)}")
+            raise UnknownAction(f"unknown actions: {sorted(unknown)}")
         object.__setattr__(self, "allowed_actions", frozenset(self.allowed_actions))
 
     @classmethod

@@ -22,18 +22,22 @@ restart rebuilds identical state. Each kind of file has one writer, in
 this module or, for the chain, ``ledger.append_block``, and a command
 calls only the writers for what it changed:
 
+    init                        config, hosts/roster.json
     register                    accounts/<id>.json, keys/<id>.json
     login                       accounts/sessions.json, session.json
-    upload, host fail/revive    hosts/, manifests/ (``save_network``)
+    upload                      new fragments, then its manifest
+    host fail/revive            hosts/roster.json
     publish                     catalog.json
     buy                         chain.log, one license, one secret
     play                        the license it redeemed
 
-``save_network`` rewrites the roster and every manifest, but writes a
-fragment file only when it does not exist yet: the file is named by the
-digest of its bytes, so one that exists already holds them. The chain
-file is never rewritten, only appended to. ``save_world`` is the bulk
-save for a world built through the library; no command calls it.
+Every writer goes through ``_write``, which writes ``.<name>.tmp`` beside
+the file and renames it over the file with ``os.replace``: a command
+killed mid-write leaves the old file or the new one, and no loader reads
+a leftover temporary file. A fragment file is written only when it does
+not exist yet, as it is named by the digest of its bytes. The chain file
+is only appended to. ``save_world`` is the bulk save for a world built
+through the library; no command calls it.
 
 Commands on one state run one at a time: each holds
 ``StateDirectory.locked`` from before it loads until after it writes.
@@ -180,7 +184,10 @@ class StateDirectory:
         for directory in (self.accounts_dir, self.hosts_dir, self.manifests_dir,
                           self.licenses_dir, self.secrets_dir, self.keys_dir):
             directory.mkdir(exist_ok=True)
-        self.config_path.write_text(config.to_text(), encoding="utf-8")
+        _write(self.config_path, config.to_text().encode("utf-8"))
+        if not self.roster_path.is_file():  # a second init keeps the hosts
+            self.save_roster(StorageNetwork.with_hosts(
+                config.host_count, replication_factor=config.replication_factor))
 
     def require(self):
         if not self.exists():
@@ -207,8 +214,7 @@ class StateDirectory:
     # -- identity -------------------------------------------------------------
 
     def save_account(self, account: Account):
-        path = self.accounts_dir / f"{account.id}.json"
-        path.write_text(json.dumps(account.to_json(), indent=2), encoding="utf-8")
+        _write_json(self.accounts_dir / f"{account.id}.json", account.to_json())
 
     def load_accounts(self) -> list[Account]:
         accounts = []
@@ -219,8 +225,7 @@ class StateDirectory:
         return accounts
 
     def save_sessions(self, sessions: list[SessionToken]):
-        payload = [session.to_json() for session in sessions]
-        self.sessions_path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        _write_json(self.sessions_path, [session.to_json() for session in sessions])
 
     def load_sessions(self) -> list[SessionToken]:
         if not self.sessions_path.is_file():
@@ -230,36 +235,32 @@ class StateDirectory:
 
     # -- storage network --------------------------------------------------------
 
-    def save_network(self, network: StorageNetwork):
-        roster = [{"host_id": host.host_id, "alive": host.alive}
-                  for host in network.hosts]
-        self.roster_path.write_text(json.dumps(roster, indent=2), encoding="utf-8")
+    def save_roster(self, network: StorageNetwork):
+        _write_json(self.roster_path, [{"host_id": host.host_id, "alive": host.alive}
+                                       for host in network.hosts])
+
+    def save_fragments(self, network: StorageNetwork):
         for host in network.hosts:
             host_dir = self.hosts_dir / host.host_id
             host_dir.mkdir(exist_ok=True)
             for fragment_digest, fragment in host.fragments().items():
                 path = host_dir / fragment_digest.hex()
                 if not path.exists():  # named by its digest: same name, same bytes
-                    path.write_bytes(fragment)
-        for manifest in network.manifests():
-            link_digest = digest(manifest.core_bytes())
-            path = self.manifests_dir / f"{link_digest.hex}.manifest"
-            path.write_bytes(manifest.to_bytes())
+                    _write(path, fragment)
+
+    def save_manifest(self, manifest: FileManifest):
+        link_digest = digest(manifest.core_bytes())
+        _write(self.manifests_dir / f"{link_digest.hex}.manifest", manifest.to_bytes())
 
     def load_network(self, config: Config) -> StorageNetwork:
-        if not self.roster_path.is_file():
-            return StorageNetwork.with_hosts(
-                config.host_count, replication_factor=config.replication_factor)
         roster = json.loads(self.roster_path.read_text(encoding="utf-8"))
         hosts = []
         for entry in roster:
-            host = Host(entry["host_id"], alive=bool(entry["alive"]))
-            host_dir = self.hosts_dir / host.host_id
-            if host_dir.is_dir():
-                was_alive, host.alive = host.alive, True
-                for path in sorted(host_dir.iterdir()):
-                    host.store(Digest(bytes.fromhex(path.name)), path.read_bytes())
-                host.alive = was_alive
+            host = Host(entry["host_id"])
+            # Fragments by hex name only: a temporary file starts with a dot.
+            for path in sorted((self.hosts_dir / host.host_id).glob("[0-9a-f]*")):
+                host.store(Digest(bytes.fromhex(path.name)), path.read_bytes())
+            host.alive = bool(entry["alive"])
             hosts.append(host)
         network = StorageNetwork(hosts=hosts,
                                  replication_factor=config.replication_factor)
@@ -275,8 +276,7 @@ class StateDirectory:
         """The canonical record as hex, beside the use counter it excludes."""
         payload = {"license": license.canonical_bytes().hex(),
                    "uses_consumed": license.uses_consumed}
-        path = self.licenses_dir / _license_filename(license)
-        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        _write_json(self.licenses_dir / _license_filename(license), payload)
 
     def load_license(self, license_id: bytes) -> License:
         path = next(self.licenses_dir.glob(f"*-{license_id.hex()}.json"), None)
@@ -291,7 +291,7 @@ class StateDirectory:
                 for path in sorted(self.licenses_dir.glob(f"{prefix}-*.json"))]
 
     def save_secret(self, tx_id_hex: str, sealed_bytes: bytes):
-        (self.secrets_dir / f"{tx_id_hex}.secret").write_bytes(sealed_bytes)
+        _write(self.secrets_dir / f"{tx_id_hex}.secret", sealed_bytes)
 
     def load_secret(self, tx_id_hex: str) -> bytes:
         path = self.secrets_dir / f"{tx_id_hex}.secret"
@@ -310,7 +310,7 @@ class StateDirectory:
         catalog = self.load_catalog()
         catalog.append({"title": title, "skylink": skylink.text,
                         "provider_id": provider_id})
-        self.catalog_path.write_text(json.dumps(catalog, indent=2), encoding="utf-8")
+        _write_json(self.catalog_path, catalog)
 
     def find_catalog_entry(self, skylink_text: str) -> dict:
         for entry in self.load_catalog():
@@ -323,8 +323,7 @@ class StateDirectory:
     def save_keypair(self, id: str, keypair: KeyPair):
         payload = {"id": id, "public_key": b64u(keypair.public_key),
                    "private_key": b64u(keypair.private_key)}
-        (self.keys_dir / f"{check_id(id)}.json").write_text(
-            json.dumps(payload, indent=2), encoding="utf-8")
+        _write_json(self.keys_dir / f"{check_id(id)}.json", payload)
 
     def load_keypair(self, id: str) -> KeyPair:
         path = self.keys_dir / f"{check_id(id)}.json"
@@ -335,8 +334,7 @@ class StateDirectory:
                        private_key=b64u_decode(payload["private_key"]))
 
     def save_login(self, session: SessionToken):
-        self.session_path.write_text(
-            json.dumps(session.to_json(), indent=2), encoding="utf-8")
+        _write_json(self.session_path, session.to_json())
 
     def load_login(self) -> SessionToken | None:
         if not self.session_path.is_file():
@@ -347,6 +345,17 @@ class StateDirectory:
     def clear_login(self):
         if self.session_path.is_file():
             self.session_path.unlink()
+
+
+def _write(path: Path, data: bytes):
+    """The one way a state file reaches disk: whole, or not at all."""
+    temp = path.with_name(f".{path.name}.tmp")
+    temp.write_bytes(data)
+    os.replace(temp, path)
+
+
+def _write_json(path: Path, payload):
+    _write(path, json.dumps(payload, indent=2).encode("utf-8"))
 
 
 def _license_filename(license: License) -> str:
@@ -406,4 +415,7 @@ def save_world(world: World):
     for account in world.identity.accounts():
         world.state.save_account(account)
     world.state.save_sessions(world.identity.sessions())
-    world.state.save_network(world.network)
+    world.state.save_roster(world.network)
+    world.state.save_fragments(world.network)
+    for manifest in world.network.manifests():
+        world.state.save_manifest(manifest)

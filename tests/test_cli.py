@@ -1,10 +1,13 @@
 """CLI gateway: the full operator workflow, persisted between invocations."""
 
 import contextlib
+import hashlib
+import itertools
 import json
 import os
 import re
 import select
+import shutil
 import subprocess
 import sys
 import time
@@ -23,7 +26,7 @@ from skyvault.crypto import Envelope, derive_credential, generate_keypair
 from skyvault.hls import read_package, unpackage
 from skyvault.identity import solve_challenge
 from skyvault.ledger import load_chain
-from skyvault.state import Config, StateDirectory
+from skyvault.state import Config, StateDirectory, load_world
 from skyvault.storage import SkyLink
 from skyvault.wire import b64u, b64u_decode
 
@@ -137,6 +140,14 @@ class TestErrors:
                      expect=1)
         assert stderr_json(result)["error"] == "unknown_skylink"
 
+    @pytest.mark.parametrize("actions", ["bogus", ""])
+    def test_unknown_action_not_buyable(self, runner, root, tmp_path, actions):
+        _, skylink = bootstrap(runner, root, tmp_path)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        result = run(runner, root, "buy", skylink, "--actions", actions, expect=1)
+        assert stderr_json(result)["error"] == "unknown_action"
+        assert not (root / "chain.log").exists()
+
     def test_command_before_init(self, runner, root):
         result = run(runner, root, "verify-chain", expect=1)
         assert stderr_json(result)["error"] == "state_missing"
@@ -223,6 +234,19 @@ class TestHlsCommand:
         result = run(runner, root, "hls-package", str(src), str(outdir),
                      "--key-out", str(outdir / "k.key"), expect=2)
         assert "must not point inside" in result.output + str(result.stderr_bytes)
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("segment_bytes", ["0", "-5"])
+    def test_nonpositive_segment_bytes_refused(self, runner, root, tmp_path,
+                                               segment_bytes):
+        run(runner, root, "init")
+        src = tmp_path / "m.bin"
+        src.write_bytes(b"media bytes")
+        outdir = tmp_path / "hls"
+        result = run(runner, root, "hls-package", str(src), str(outdir),
+                     "--segment-bytes", segment_bytes, expect=2)
+        assert "--segment-bytes" in result.output + str(result.stderr_bytes)
+        assert not outdir.exists()
 
 
 class TestColdRestart:
@@ -363,14 +387,21 @@ class TestWriteSets:
             command = [*command, str(media)]
         if command[:2] == ["host", "revive"]:
             run(runner, root, "host", "fail", "h1")
-        kept = {str(path.relative_to(root)) for pattern in ("hosts/h*/*", "accounts/*")
-                for path in root.glob(pattern)}
+        held = {str(path.relative_to(root)) for path in root.rglob("*")}
         written = files_written(root, *command)
-        assert not written & kept
-        assert {path.split("/")[0] for path in written} <= {"hosts", "manifests"}
         if command[0] == "host":
-            assert {path for path in written if path.startswith("hosts/")} == {
-                "hosts/roster.json"}
+            assert written == {"hosts/roster.json"}
+            return
+        assert not written & held
+        manifests = {path for path in written
+                     if re.fullmatch(r"manifests/[0-9a-f]{64}\.manifest", path)}
+        fragments = written - manifests
+        assert len(manifests) == 1
+        assert fragments and all(re.fullmatch(r"hosts/h\d/[0-9a-f]{64}", path)
+                                 for path in fragments)
+
+    def test_init(self, root):
+        assert files_written(root, "init") == {"config", "hosts/roster.json"}
 
     @pytest.mark.parametrize("command", [["host", "list"], ["verify-chain"],
                                          ["download", "--as", "studio-prime"]])
@@ -378,6 +409,79 @@ class TestWriteSets:
         if command[0] == "download":
             command = [*command, bought.skylink, str(tmp_path / "out.bin")]
         assert files_written(root, *command) == set()
+
+
+class Killed(BaseException):
+    """Stands in for the signal that ends a command in the middle of a write."""
+
+
+def _tear_write(monkeypatch, k: int):
+    """Make the K-th state-file write (from 0) store only the first half
+    of its bytes, then end the command with ``Killed``."""
+    writes = itertools.count()
+    for name in ("write_bytes", "write_text"):
+        def torn(path, data, *args, _write=getattr(Path, name), **kwargs):
+            if next(writes) == k:
+                _write(path, data[:len(data) // 2], *args, **kwargs)
+                raise Killed
+            return _write(path, data, *args, **kwargs)
+        monkeypatch.setattr(Path, name, torn)
+
+
+@pytest.fixture(scope="module")
+def purchased(tmp_path_factory):
+    """A state with one upload, one publish and one purchase; alice-consumer
+    is logged in. Copied before each use."""
+    tmp_path = tmp_path_factory.mktemp("purchased")
+    root, runner = tmp_path / "state", CliRunner()
+    media, skylink = bootstrap(runner, root, tmp_path, size=20_000)
+    run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+    run(runner, root, "buy", skylink)
+    small = tmp_path / "small.bin"  # one chunk: three fragments, then the manifest
+    small.write_bytes(os.urandom(1000))
+    return SimpleNamespace(root=root, media=media, skylink=skylink, small=small)
+
+
+class TestKilledMidWrite:
+    """A command killed in the middle of any of its first writes leaves a
+    state that every later command can load and use."""
+
+    COMMANDS = {
+        "register": ["register", "carol-viewer", "--password", PASSWORD],
+        "login": ["login", "alice-consumer", "--password", PASSWORD],
+        "play": ["play", "{skylink}", "{out}"],
+        "upload": ["upload", "--as", "studio-prime", "{small}"],
+        "buy": ["buy", "{skylink}"],
+        "host fail": ["host", "fail", "h0"],
+    }
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_state_stays_usable(self, runner, purchased, tmp_path, monkeypatch,
+                                command, k):
+        root = tmp_path / "state"
+        shutil.copytree(purchased.root, root)
+        args = [arg.format(skylink=purchased.skylink, small=purchased.small,
+                           out=tmp_path / "killed.bin")
+                for arg in self.COMMANDS[command]]
+        with monkeypatch.context() as patch:
+            _tear_write(patch, k)
+            try:
+                runner.invoke(main, ["--state", str(root), *args],
+                              catch_exceptions=False)
+            except Killed:
+                pass
+
+        load_world(root)
+        assert run(runner, root, "verify-chain").output.strip() == "ok"
+        run(runner, root, "host", "list")
+        run(runner, root, "play", purchased.skylink, str(tmp_path / "played.bin"))
+        assert (tmp_path / "played.bin").read_bytes() == purchased.media
+        run(runner, root, "download", purchased.skylink, str(tmp_path / "got.bin"),
+            "--as", "studio-prime")
+        assert (tmp_path / "got.bin").read_bytes() == purchased.media
+        for path in root.glob("hosts/*/[0-9a-f]*"):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == path.name
 
 
 def _src_env(**extra) -> dict:

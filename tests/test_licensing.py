@@ -13,6 +13,7 @@ from skyvault.errors import (
     NotAuthenticated,
     OpenFailed,
     RightsDenied,
+    UnknownAction,
     UnknownContent,
 )
 from skyvault.identity import IdentityService, SessionToken
@@ -101,7 +102,7 @@ class TestRules:
             Rights(frozenset())
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownAction):
             Rights(frozenset({"teleport"}))
 
     def test_relicense_not_in_default(self):
