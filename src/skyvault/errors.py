@@ -264,5 +264,12 @@ class StateMissing(SkyVaultError):
     code = "state_missing"
 
 
+class StateCorrupt(SkyVaultError, ValueError):
+    """A state file that exists but does not decode (a ValueError, like
+    the decode errors it stands for)."""
+
+    code = "state_corrupt"
+
+
 class UnknownLicense(SkyVaultError):
     code = "unknown_license"

@@ -46,6 +46,13 @@ load them, to register an account (after restoring those that other
 commands saved meanwhile), and at shutdown to merge its sessions with
 those on disk and save them, nothing else.
 
+Every loader reads through ``_load``: a missing file is ``StateMissing``
+and one that does not decode is ``StateCorrupt``, each naming the file,
+so a damaged state ends a command with its JSON error, not a traceback.
+Fragments are the exception: their bytes are not decoded, so a fragment
+file must only be named by a digest, and a damaged one is found by that
+digest when it is fetched.
+
 A license file is named by the record's consumer fingerprint,
 digest(consumer id ‖ content id), and its license id, so ``play`` reads
 only the caller's licenses for one title. Files under the older
@@ -61,10 +68,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .crypto import Digest, KeyPair, digest
-from .errors import BadConfig, StateMissing, UnknownLicense, UnknownSkylink
+from .errors import (BadConfig, StateCorrupt, StateMissing, UnknownLicense,
+                     UnknownSkylink)
 from .hls import DEFAULT_SEGMENT_BYTES
 from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_TTL_DEFAULT, Account,
                        IdentityService, SessionToken, check_id)
@@ -73,6 +81,8 @@ from .licensing import License, consumer_fingerprint
 from .storage import (DEFAULT_CHUNK_SIZE, DEFAULT_REPLICATION, FileManifest,
                       Host, SkyLink, StorageNetwork)
 from .wire import b64u, b64u_decode
+
+T = TypeVar("T")
 
 CONFIG_FILENAME = "config"
 CHAIN_FILENAME = "chain.log"
@@ -209,7 +219,7 @@ class StateDirectory:
 
     def load_config(self) -> Config:
         self.require()
-        return Config.from_text(self.config_path.read_text(encoding="utf-8"))
+        return _load(self.config_path, lambda data: Config.from_text(data.decode("utf-8")))
 
     # -- identity -------------------------------------------------------------
 
@@ -221,7 +231,7 @@ class StateDirectory:
         for path in sorted(self.accounts_dir.glob("*.json")):
             if path.name == "sessions.json":
                 continue
-            accounts.append(Account.from_json(json.loads(path.read_text(encoding="utf-8"))))
+            accounts.append(_load(path, lambda data: Account.from_json(_json(data))))
         return accounts
 
     def save_sessions(self, sessions: list[SessionToken]):
@@ -230,8 +240,8 @@ class StateDirectory:
     def load_sessions(self) -> list[SessionToken]:
         if not self.sessions_path.is_file():
             return []
-        payload = json.loads(self.sessions_path.read_text(encoding="utf-8"))
-        return [SessionToken.from_json(item) for item in payload]
+        return _load(self.sessions_path, lambda data: [
+            SessionToken.from_json(item) for item in _json(data)])
 
     # -- storage network --------------------------------------------------------
 
@@ -253,19 +263,24 @@ class StateDirectory:
         _write(self.manifests_dir / f"{link_digest.hex}.manifest", manifest.to_bytes())
 
     def load_network(self, config: Config) -> StorageNetwork:
-        roster = json.loads(self.roster_path.read_text(encoding="utf-8"))
+        roster = _load(self.roster_path, lambda data: [
+            (entry["host_id"], bool(entry["alive"])) for entry in _json(data)])
         hosts = []
-        for entry in roster:
-            host = Host(entry["host_id"])
+        for host_id, alive in roster:
+            host = Host(host_id)
             # Fragments by hex name only: a temporary file starts with a dot.
-            for path in sorted((self.hosts_dir / host.host_id).glob("[0-9a-f]*")):
-                host.store(Digest(bytes.fromhex(path.name)), path.read_bytes())
-            host.alive = bool(entry["alive"])
+            for path in sorted((self.hosts_dir / host_id).glob("[0-9a-f]*")):
+                try:
+                    fragment_digest = Digest.from_hex(path.name)
+                except ValueError:
+                    raise StateCorrupt(f"state file {path} is not named by a digest") from None
+                host.store(fragment_digest, path.read_bytes())
+            host.alive = alive
             hosts.append(host)
         network = StorageNetwork(hosts=hosts,
                                  replication_factor=config.replication_factor)
         for path in sorted(self.manifests_dir.glob("*.manifest")):
-            manifest = FileManifest.from_bytes(path.read_bytes())
+            manifest = _load(path, FileManifest.from_bytes)
             link = SkyLink.from_digest(digest(manifest.core_bytes()))
             network.register_manifest(link, manifest)
         return network
@@ -294,17 +309,14 @@ class StateDirectory:
         _write(self.secrets_dir / f"{tx_id_hex}.secret", sealed_bytes)
 
     def load_secret(self, tx_id_hex: str) -> bytes:
-        path = self.secrets_dir / f"{tx_id_hex}.secret"
-        if not path.is_file():
-            raise FileNotFoundError(f"no secret for tx {tx_id_hex}")
-        return path.read_bytes()
+        return _load(self.secrets_dir / f"{tx_id_hex}.secret", bytes)
 
     # -- catalog ---------------------------------------------------------------
 
     def load_catalog(self) -> list[dict]:
         if not self.catalog_path.is_file():
             return []
-        return json.loads(self.catalog_path.read_text(encoding="utf-8"))
+        return _load(self.catalog_path, _json)
 
     def add_catalog_entry(self, title: str, skylink: SkyLink, provider_id: str):
         catalog = self.load_catalog()
@@ -329,9 +341,7 @@ class StateDirectory:
         path = self.keys_dir / f"{check_id(id)}.json"
         if not path.is_file():
             raise StateMissing(f"no keypair for {id} (register here first)")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return KeyPair(public_key=b64u_decode(payload["public_key"]),
-                       private_key=b64u_decode(payload["private_key"]))
+        return _load(path, lambda data: _decode_keypair(_json(data)))
 
     def save_login(self, session: SessionToken):
         _write_json(self.session_path, session.to_json())
@@ -339,8 +349,7 @@ class StateDirectory:
     def load_login(self) -> SessionToken | None:
         if not self.session_path.is_file():
             return None
-        return SessionToken.from_json(
-            json.loads(self.session_path.read_text(encoding="utf-8")))
+        return _load(self.session_path, lambda data: SessionToken.from_json(_json(data)))
 
     def clear_login(self):
         if self.session_path.is_file():
@@ -358,17 +367,41 @@ def _write_json(path: Path, payload):
     _write(path, json.dumps(payload, indent=2).encode("utf-8"))
 
 
+def _load(path: Path, decode: Callable[[bytes], T]) -> T:
+    """The one way a state file is read: DECODE of its bytes, or the
+    state error that names the file."""
+    try:
+        return decode(path.read_bytes())
+    except FileNotFoundError:
+        raise StateMissing(f"state file {path} is missing") from None
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        # UnicodeDecodeError and json.JSONDecodeError are ValueErrors.
+        raise StateCorrupt(f"state file {path} is damaged: {exc!r}") from None
+
+
+def _json(data: bytes):
+    return json.loads(data.decode("utf-8"))
+
+
+def _decode_keypair(payload: dict) -> KeyPair:
+    return KeyPair(public_key=b64u_decode(payload["public_key"]),
+                   private_key=b64u_decode(payload["private_key"]))
+
+
 def _license_filename(license: License) -> str:
     return f"{license.consumer_fingerprint.hex}-{license.license_id.hex()}.json"
 
 
 def _read_license(path: Path) -> License:
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    return _load(path, lambda data: _decode_license(path.name, _json(data)))
+
+
+def _decode_license(name: str, payload: dict) -> License:
     license = License.from_canonical_bytes(bytes.fromhex(payload["license"]))
-    if path.name != _license_filename(license):
+    if name != _license_filename(license):
         # Lookups trust the name, so a record filed under another name
         # (say, another consumer's fingerprint) is refused.
-        raise ValueError(f"license file {path.name} does not match its record")
+        raise ValueError(f"license file {name} does not match its record")
     license.uses_consumed = int(payload["uses_consumed"])
     return license
 

@@ -194,6 +194,35 @@ class TestErrors:
         assert stderr_json(result)["error"] == "key_access_denied"
 
 
+class TestDamagedState:
+    """A missing or damaged state file is a JSON error naming the file."""
+
+    def test_missing_roster(self, runner, root):
+        run(runner, root, "init")
+        (root / "hosts" / "roster.json").unlink()
+        error = stderr_json(run(runner, root, "host", "list", expect=1))
+        assert error["error"] == "state_missing"
+        assert "roster.json" in error["message"]
+
+    def test_torn_sessions(self, runner, root):
+        run(runner, root, "init")
+        run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        sessions = root / "accounts" / "sessions.json"
+        sessions.write_bytes(sessions.read_bytes()[:20])
+        error = stderr_json(run(runner, root, "host", "list", expect=1))
+        assert error["error"] == "state_corrupt"
+        assert "sessions.json" in error["message"]
+
+    def test_stray_fragment_name(self, runner, root):
+        run(runner, root, "init")
+        (root / "hosts" / "h0").mkdir(exist_ok=True)
+        (root / "hosts" / "h0" / "abc").write_bytes(b"not a fragment")
+        error = stderr_json(run(runner, root, "host", "list", expect=1))
+        assert error["error"] == "state_corrupt"
+        assert "abc" in error["message"]
+
+
 class TestInit:
     def test_options_mirror_config(self):
         options = {param.name: param.default for param in main.commands["init"].params}

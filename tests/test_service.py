@@ -1,7 +1,9 @@
 """HTTP identity service: protocol completion and status mapping."""
 
 import http.client
+import http.server
 import json
+import re
 import socket
 import threading
 import time
@@ -269,3 +271,179 @@ class TestKeepAlive:
         for i, token in tokens.items():
             assert call(server, "GET", "/session/" + token) == \
                 (200, {"account_id": f"user-{i:03d}"})
+
+
+# -- raw-socket framing, limits and response head ------------------------------
+
+BODY = b'{"id": "ghost-user"}'
+
+
+def exchange(server, data: bytes) -> bytes:
+    """Send DATA on a fresh connection and return all the server sends
+    before it hangs up; a server that keeps the connection open fails the
+    test with a timeout."""
+    received = b""
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+def replies(received: bytes) -> list[tuple[str, list[tuple[str, str]], bytes]]:
+    """Split a byte stream of responses into (status line, headers, body)."""
+    out = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = [tuple(line.split(": ", 1)) for line in lines]
+        length = int(dict(headers).get("Content-Length", 0))
+        out.append((status, headers, rest[:length]))
+        received = rest[length:]
+    return out
+
+
+def post(path: str, body: bytes = BODY, extra: bytes = b"") -> bytes:
+    return (b"POST %s HTTP/1.1\r\nHost: x\r\n%sContent-Length: %d\r\n\r\n%s"
+            % (path.encode(), extra, len(body), body))
+
+
+class TestFraming:
+    """A body whose end two readers could place differently is refused with
+    400 bad_request, and the connection closes (RFC 9112, 5.2 and 6.3)."""
+
+    @pytest.mark.parametrize("head", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Content-Length: 10\r\nContent-Length: 0\r\n",
+        b"X-Folded: a\r\n b\r\n",
+        b"No-Colon\r\n",
+        b"X-Space-Before : colon\r\n",
+        b"Content-Length: +20\r\n",
+    ], ids=["transfer-encoding", "two-lengths", "obs-fold", "no-colon",
+            "space-before-colon", "signed-length"])
+    def test_refused_then_hang_up(self, server, head):
+        # What follows the head is sent too: none of it may be answered.
+        request = (b"POST /auth/begin HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n"
+                   + b"14\r\n" + BODY + b"\r\n0\r\n\r\n" + post("/nope"))
+        [(status, _, body)] = replies(exchange(server, request))
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert json.loads(body)["error"] == "bad_request"
+
+    def test_repeated_equal_length_accepted(self, server):
+        request = (b"POST /auth/begin HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                   b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n%s"
+                   % (len(BODY), len(BODY), BODY))
+        [(status, _, body)] = replies(exchange(server, request))
+        assert status == "HTTP/1.1 404 Not Found"
+        assert json.loads(body)["error"] == "unknown_id"
+
+    def test_get_body_is_not_read_as_a_request(self, server):
+        smuggled = b"GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (b"GET /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                   % (len(smuggled), smuggled))
+        [(status, _, body)] = replies(exchange(server, request))
+        assert status == "HTTP/1.1 404 Not Found"
+        assert b"/nope" in body
+
+
+class TestLimits:
+    def test_100_header_lines_accepted(self, server):
+        head = b"".join(b"X-%d: a\r\n" % i for i in range(99))
+        request = b"GET /nope HTTP/1.1\r\n" + head + b"Connection: close\r\n\r\n"
+        [(status, _, _)] = replies(exchange(server, request))
+        assert status == "HTTP/1.1 404 Not Found"
+
+    def test_101_header_lines_431_then_hang_up(self, server):
+        head = b"".join(b"X-%d: a\r\n" % i for i in range(101))
+        received = exchange(server, b"GET /nope HTTP/1.1\r\n" + head + b"\r\n")
+        assert received.startswith(b"HTTP/1.1 431 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+
+    def test_long_header_line_431(self, server):
+        # Exactly what the server reads, so nothing is left unread.
+        line = b"X: " + b"a" * (65537 - 3)
+        received = exchange(server, b"GET /nope HTTP/1.1\r\n" + line)
+        assert received.startswith(b"HTTP/1.1 431 ")
+
+    def test_long_request_line_414(self, server):
+        line = b"GET /" + b"a" * (65537 - 5)
+        received = exchange(server, line)
+        assert received.startswith(b"HTTP/1.1 414 ")
+
+    @pytest.mark.parametrize("line", [
+        b"GET / extra HTTP/1.1", b"GARBAGE", b"GET /nope HTTP/x.y", b"GET /nope",
+        b"GET /nope HTTP/0.9"])
+    def test_malformed_request_line_400(self, server, line):
+        received = exchange(server, line + b"\r\nHost: x\r\n\r\n")
+        assert received.startswith(b"HTTP/1.1 400 ")
+
+    def test_http2_505(self, server):
+        received = exchange(server, b"GET /nope HTTP/2.0\r\nHost: x\r\n\r\n")
+        assert received.startswith(b"HTTP/1.1 505 ")
+
+    def test_http10_answered_then_closed(self, server):
+        [(status, _, body)] = replies(exchange(server, b"GET /nope HTTP/1.0\r\n\r\n"))
+        assert status == "HTTP/1.1 404 Not Found"
+        assert json.loads(body)["error"] == "not_found"
+
+    def test_connection_close_honoured(self, server):
+        request = post("/auth/begin", extra=b"Connection: close\r\n")
+        [(status, _, body)] = replies(exchange(server, request))
+        assert status == "HTTP/1.1 404 Not Found"
+        assert json.loads(body)["error"] == "unknown_id"
+
+    def test_pipelined_requests_answered_in_order(self, server):
+        request = (b"GET /first HTTP/1.1\r\nHost: x\r\n\r\n"
+                   + post("/second", extra=b"Connection: close\r\n"))
+        answers = replies(exchange(server, request))
+        assert [json.loads(body)["message"] for _, _, body in answers] == [
+            "no such endpoint: /first", "no such endpoint: /second"]
+
+    def test_expect_100_continue_before_body(self, server):
+        head = (b"POST /auth/begin HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(BODY))
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(BODY)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        [(status, _, body)] = replies(received)
+        assert status == "HTTP/1.1 404 Not Found"
+        assert json.loads(body)["error"] == "unknown_id"
+
+
+IMF_FIXDATE = re.compile(r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), [0-9]{2} "
+                         r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) "
+                         r"[0-9]{4} [0-9]{2}:[0-9]{2}:[0-9]{2} GMT")
+
+
+class TestResponseHead:
+    """Every JSON reply carries exactly these four headers, in this order."""
+
+    def check(self, received: bytes, status_line: str):
+        [(status, headers, body)] = replies(received)
+        assert status == status_line
+        assert [name for name, _ in headers] == [
+            "Server", "Date", "Content-Type", "Content-Length"]
+        values = dict(headers)
+        handler = http.server.BaseHTTPRequestHandler
+        assert values["Server"] == f"{handler.server_version} {handler.sys_version}"
+        assert IMF_FIXDATE.fullmatch(values["Date"])
+        assert values["Content-Type"] == "application/json"
+        assert values["Content-Length"] == str(len(body))
+        json.loads(body)
+
+    def test_200_head(self, server):
+        body = json.dumps({"id": "alice-consumer", "password": "sturdy password",
+                           "public_key": b64u(generate_keypair().public_key)})
+        request = post("/register", body.encode(), extra=b"Connection: close\r\n")
+        self.check(exchange(server, request), "HTTP/1.1 200 OK")
+
+    def test_404_head(self, server):
+        request = b"GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        self.check(exchange(server, request), "HTTP/1.1 404 Not Found")
