@@ -6,8 +6,7 @@ changed before exiting; a later invocation (or a different machine
 pointed at a copy) sees identical state; commands on one state run one
 at a time (see :mod:`skyvault.state`). Failures print one JSON object
 on stderr, ``{"error": <stable code>, "message": ...}``, and exit
-nonzero; no command prints key material unless ``play --show-key`` is
-given.
+nonzero; no command prints key material.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ from pathlib import Path
 
 import click
 
-from .crypto import Digest, derive_credential, digest, generate_keypair
-from .errors import NotAuthenticated, RightsDenied, SkyVaultError, UnknownLicense
-from .hls import master_playlist, package, write_package, Rendition
+from .crypto import Digest, derive_credential, generate_keypair
+from .errors import (ChainInvalid, NotAuthenticated, OutputUnwritable,
+                     RightsDenied, SkyVaultError, UnknownLicense)
+from .hls import DEFAULT_KEY_URI, master_playlist, package, write_package, Rendition
 from .identity import solve_challenge
 from .ledger import append_block
 from .licensing import (
@@ -69,6 +69,14 @@ def with_world(fn):
         with StateDirectory(state_root).locked():
             return fn(load_world(state_root), *args, **kwargs)
     return wrapper
+
+
+def _open_out(path):
+    """PATH opened for writing; one that cannot be is ``OutputUnwritable``."""
+    try:
+        return open(path, "wb")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc.strerror}") from None
 
 
 def config_options(fn):
@@ -168,7 +176,7 @@ def download(world, skylink, out, as_id):
     requester_id = as_id or _login(world)[1]
     keypair = world.state.load_keypair(requester_id)
     data = storage_download(SkyLink(skylink), world.network, keypair.private_key)
-    with open(out, "wb") as handle:
+    with _open_out(out) as handle:
         handle.write(data)
     click.echo("Successfully downloaded skylink!")
 
@@ -250,36 +258,39 @@ def _redeem_newest(world, keypair, consumer_id: str, content_id: Digest, action:
 @click.argument("out", type=click.Path(dir_okay=False))
 @click.option("--action", default=ACTION_STREAM, show_default=True,
               help="Action to exercise against the license.")
-@click.option("--show-key", is_flag=True, default=False,
-              help="Also print the redeemed content key (debug).")
 @with_world
-def play(world, skylink, out, action, show_key):
+def play(world, skylink, out, action):
     """Redeem your license for SKYLINK, decrypt, and write plaintext to OUT."""
     _, consumer_id = _login(world)
     keypair = world.state.load_keypair(consumer_id)
     link = SkyLink(skylink)
     license, key = _redeem_newest(world, keypair, consumer_id, link.digest(), action)
-    world.state.save_license(license)
+    # The use is spent only once the content is fetched and OUT is open.
     data = download_with_key(link, world.network, key)
-    with open(out, "wb") as handle:
+    with _open_out(out) as handle:
+        world.state.save_license(license)
         handle.write(data)
     uses = ("unlimited" if license.key_rules.max_uses is None
             else f"{license.uses_consumed}/{license.key_rules.max_uses}")
     click.echo(f"Played {skylink} ({len(data)} bytes, uses: {uses})")
-    if show_key:
-        click.echo(f"content key: {key.hex()}")
+
+
+def _bandwidths(ctx, param, value):
+    """--bandwidths as a list of positive ints (None when not given)."""
+    if value:
+        return [click.IntRange(min=1).convert(text, param, ctx) for text in value.split(",")]
 
 
 @main.command("hls-package")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("outdir", type=click.Path(file_okay=False))
-@click.option("--key-uri", default=None,
-              help="Key URI for the playlist (default: license placeholder).")
+@click.option("--key-uri", default=DEFAULT_KEY_URI, show_default=True,
+              help="Key URI for the playlist.")
 @click.option("--key-out", type=click.Path(dir_okay=False), default=None,
               help="Write the key here; must not live inside OUTDIR.")
 @click.option("--segment-bytes", type=click.IntRange(min=1), default=None,
               help="Segment size (default: config value).")
-@click.option("--bandwidths", default=None,
+@click.option("--bandwidths", callback=_bandwidths,
               help="Comma-separated bits/s to also emit a master playlist.")
 @with_world
 def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
@@ -292,18 +303,14 @@ def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
-    kwargs = {}
-    if key_uri:
-        kwargs["key_uri"] = key_uri
-    pkg = package(media, key, segment_bytes=segment_bytes, **kwargs)
+    pkg = package(media, key, segment_bytes=segment_bytes, key_uri=key_uri)
     master = None
     if bandwidths:
-        master = master_playlist([
-            Rendition(int(b.strip()), "playlist.m3u8")
-            for b in bandwidths.split(",")])
+        master = master_playlist([Rendition(b, "playlist.m3u8") for b in bandwidths])
+    if key_out:  # first: a package whose key was lost could never be played
+        with _open_out(key_out) as handle:
+            handle.write(key)
     write_package(pkg, outdir, master=master)
-    if key_out:
-        Path(key_out).write_bytes(key)
     click.echo(f"Packaged {len(pkg.segments)} segments into {outdir}")
 
 
@@ -312,12 +319,9 @@ def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
 def verify_chain(world):
     """Recheck every block in the persisted chain."""
     bad_height = world.chain.verify()
-    if bad_height is None:
-        click.echo("ok")
-    else:
-        click.echo(json.dumps({"error": "chain_invalid",
-                               "first_bad_height": bad_height}), err=True)
-        sys.exit(1)
+    if bad_height is not None:
+        raise ChainInvalid(bad_height)
+    click.echo("ok")
 
 
 @main.group()
@@ -351,9 +355,15 @@ def host_revive(world, host_id):
     click.echo(f"{host_id} marked up")
 
 
+def _bind_address(ctx, param, value):
+    """--bind as (host, port); an empty host is 127.0.0.1."""
+    host, _, port = value.rpartition(":")
+    return host or "127.0.0.1", click.IntRange(0, 65535).convert(port, param, ctx)
+
+
 @main.command()
 @click.option("--bind", default="127.0.0.1:8321", show_default=True,
-              help="host:port for the identity API.")
+              callback=_bind_address, help="host:port for the identity API.")
 @click.pass_obj
 @cli_errors
 def serve(state_root, bind):
@@ -380,9 +390,7 @@ def serve(state_root, bind):
             state.save_account(account)
             return account
 
-    bind_host, _, port_text = bind.rpartition(":")
-    server = IdentityHttpServer(identity, host=bind_host or "127.0.0.1",
-                                port=int(port_text), register=register)
+    server = IdentityHttpServer(identity, *bind, register=register)
 
     def stop(signum, frame):
         raise KeyboardInterrupt
@@ -401,7 +409,3 @@ def serve(state_root, bind):
                 identity.restore_session(session)
             state.save_sessions(identity.sessions())
         click.echo("Shut down cleanly")
-
-
-if __name__ == "__main__":
-    main()

@@ -78,9 +78,6 @@ class Digest:
     def from_hex(cls, text: str) -> "Digest":
         return cls(bytes.fromhex(text))
 
-    def __bytes__(self) -> bytes:
-        return self.value
-
 
 @dataclass(frozen=True)
 class KeyPair:

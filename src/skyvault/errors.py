@@ -180,6 +180,17 @@ class ChainCorrupt(SkyVaultError):
     code = "chain_corrupt"
 
 
+class ChainInvalid(SkyVaultError):
+    code = "chain_invalid"
+
+    def __init__(self, first_bad_height: int):
+        super().__init__(f"chain fails verification at height {first_bad_height}")
+        self.first_bad_height = first_bad_height
+
+    def details(self) -> dict:
+        return {"first_bad_height": self.first_bad_height}
+
+
 # -- licensing ---------------------------------------------------------------
 
 class InvalidRules(SkyVaultError):
@@ -273,3 +284,7 @@ class StateCorrupt(SkyVaultError, ValueError):
 
 class UnknownLicense(SkyVaultError):
     code = "unknown_license"
+
+
+class OutputUnwritable(SkyVaultError):
+    code = "output_unwritable"

@@ -66,7 +66,6 @@ class HlsPackage:
     segments: tuple[Segment, ...]
     key_uri: str
     key: Optional[bytes]
-    segment_duration_hint: float = DEFAULT_DURATION_HINT
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,7 @@ def segment_name(sequence: int) -> str:
 
 
 def package(media: bytes, key: bytes, segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-            key_uri: str = DEFAULT_KEY_URI,
-            segment_duration_hint: float = DEFAULT_DURATION_HINT) -> HlsPackage:
+            key_uri: str = DEFAULT_KEY_URI) -> HlsPackage:
     """Split, encrypt, and describe media as an HLS rendition."""
     if not media:
         raise EmptyMedia("no media bytes to package")
@@ -128,12 +126,12 @@ def package(media: bytes, key: bytes, segment_bytes: int = DEFAULT_SEGMENT_BYTES
     lines = [
         "#EXTM3U",
         "#EXT-X-VERSION:3",
-        f"#EXT-X-TARGETDURATION:{math.ceil(segment_duration_hint)}",
+        f"#EXT-X-TARGETDURATION:{math.ceil(DEFAULT_DURATION_HINT)}",
         f"#EXT-X-MEDIA-SEQUENCE:{MEDIA_SEQUENCE_BASE}",
         f'#EXT-X-KEY:METHOD=AES-128,URI="{key_uri}"',
     ]
     for segment in segments:
-        lines.append(f"#EXTINF:{segment_duration_hint:.1f},")
+        lines.append(f"#EXTINF:{DEFAULT_DURATION_HINT:.1f},")
         lines.append(segment.name)
     lines.append("#EXT-X-ENDLIST")
     return HlsPackage(
@@ -141,7 +139,6 @@ def package(media: bytes, key: bytes, segment_bytes: int = DEFAULT_SEGMENT_BYTES
         segments=segments,
         key_uri=key_uri,
         key=key,
-        segment_duration_hint=segment_duration_hint,
     )
 
 
@@ -160,16 +157,15 @@ def unpackage(pkg: HlsPackage, key: bytes) -> bytes:
     return b"".join(parts)
 
 
-def master_playlist(renditions) -> MasterPlaylist:
+def master_playlist(renditions: list[Rendition]) -> MasterPlaylist:
     """Emit the top-level ABR playlist, lowest bandwidth first."""
-    parsed = [r if isinstance(r, Rendition) else Rendition(**r) for r in renditions]
-    if not parsed:
+    if not renditions:
         raise NoRenditions("a master playlist needs at least one rendition")
-    bandwidths = [r.bandwidth for r in parsed]
+    bandwidths = [r.bandwidth for r in renditions]
     if len(set(bandwidths)) != len(bandwidths):
         dupe = next(b for b in bandwidths if bandwidths.count(b) > 1)
         raise DuplicateBandwidth(f"bandwidth {dupe} listed twice")
-    ordered = tuple(sorted(parsed, key=lambda r: r.bandwidth))
+    ordered = tuple(sorted(renditions, key=lambda r: r.bandwidth))
     lines = ["#EXTM3U", "#EXT-X-VERSION:3"]
     for rendition in ordered:
         lines.append(f"#EXT-X-STREAM-INF:BANDWIDTH={rendition.bandwidth}")
@@ -229,7 +225,7 @@ def validate_media_playlist(text: str) -> ParsedMediaPlaylist:
             if pending_duration is not None:
                 raise MalformedPlaylist("#EXTINF without a following URI")
             match = _EXTINF_RE.match(line)
-            if not match:
+            if not match or math.isinf(float(match.group(1))):
                 raise MalformedPlaylist(f"bad #EXTINF line: {line!r}")
             pending_duration = float(match.group(1))
         elif line == "#EXT-X-ENDLIST":
@@ -325,14 +321,11 @@ def read_package(outdir, key: bytes | None = None) -> HlsPackage:
         if not path.exists():
             raise MissingSegment(name)
         segments.append(Segment(name=name, ciphertext=path.read_bytes()))
-    durations = {duration for duration, _ in parsed.segments}
-    hint = durations.pop() if len(durations) == 1 else float(parsed.target_duration)
     return HlsPackage(
         media_playlist=playlist,
         segments=tuple(segments),
         key_uri=parsed.key_uri,
         key=key,
-        segment_duration_hint=hint,
     )
 
 

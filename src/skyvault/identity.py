@@ -89,7 +89,6 @@ class Challenge:
     nonce: bytes
     sealed_nonce: Envelope
     issued_at: int
-    ttl_seconds: int = CHALLENGE_TTL_DEFAULT
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,14 +185,13 @@ class IdentityService:
         sealed_nonce = seal(account.public_key, nonce)
         with self._lock:
             now = self._clock()
-            _drop_expired(self._challenges, lambda c: c.issued_at + c.ttl_seconds, now)
+            _drop_expired(self._challenges, lambda c: c.issued_at + self._challenge_ttl, now)
             challenge = Challenge(
                 challenge_id=os.urandom(CHALLENGE_ID_SIZE),
                 account_id=account.id,
                 nonce=nonce,
                 sealed_nonce=sealed_nonce,
                 issued_at=now,
-                ttl_seconds=self._challenge_ttl,
             )
             self._challenges[challenge.challenge_id] = challenge
             return challenge
@@ -210,7 +208,7 @@ class IdentityService:
             if challenge is None:
                 raise UnknownChallenge("unknown or already-used challenge")
             now = self._clock()
-            if now > challenge.issued_at + challenge.ttl_seconds:
+            if now > challenge.issued_at + self._challenge_ttl:
                 raise Expired("challenge expired")
             account = self._accounts[challenge.account_id]
             expected = digest(challenge.nonce + account.verifier.value)

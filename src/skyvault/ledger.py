@@ -237,7 +237,7 @@ class Chain:
         txs = tuple(self.pending)
         self.pending.clear()
         height = len(self.blocks)
-        prev_hash = self.blocks[-1].block_hash.value if self.blocks else GENESIS_PREV_HASH
+        prev_hash = self.tip_hash()
         tx_root = compute_tx_root(tx.tx_id for tx in txs)
         timestamp = int(self.clock())
         for nonce in range(1 << 64):

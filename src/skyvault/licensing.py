@@ -102,9 +102,9 @@ class KeyRules:
     offline_allowed: bool = False
 
     def __post_init__(self):
-        if self.not_before > self.not_after:
-            raise InvalidRules(
-                f"not_before {self.not_before} > not_after {self.not_after}")
+        if not 0 <= self.not_before <= self.not_after <= UNLIMITED_USES:
+            raise InvalidRules(f"not_before {self.not_before} and not_after "
+                               f"{self.not_after} must be u64 times in order")
         if self.max_uses is not None and not 0 <= self.max_uses < UNLIMITED_USES:
             raise InvalidRules(f"max_uses out of range: {self.max_uses}")
 
@@ -116,12 +116,14 @@ class KeyRules:
     @classmethod
     def from_bytes(cls, data: bytes) -> "KeyRules":
         fields = unpack_fields(data, expected=4)
-        max_uses = read_u64(fields[2])
+        max_uses, offline = read_u64(fields[2]), read_u64(fields[3])
+        if offline > 1:
+            raise ValueError(f"offline flag must be 0 or 1, got {offline}")
         return cls(
             not_before=read_u64(fields[0]),
             not_after=read_u64(fields[1]),
             max_uses=None if max_uses == UNLIMITED_USES else max_uses,
-            offline_allowed=bool(read_u64(fields[3])),
+            offline_allowed=bool(offline),
         )
 
 
@@ -148,7 +150,10 @@ class Rights:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Rights":
-        return cls(frozenset(f.decode("utf-8") for f in unpack_fields(data)))
+        rights = cls(frozenset(f.decode("utf-8") for f in unpack_fields(data)))
+        if rights.to_bytes() != data:
+            raise ValueError("actions not listed once each, sorted")
+        return rights
 
 
 @dataclass
@@ -279,8 +284,6 @@ def issue_license(provider: KeyPair, consumer: Account, content_id: Digest,
                   content_key: bytes, rules: KeyRules, rights: Rights,
                   now: int) -> License:
     """Seal the content key to the consumer and bind the terms under a hash."""
-    if rights is None or not rights.allowed_actions:
-        raise EmptyRights("rights must allow at least one action")
     lic = License(
         license_id=os.urandom(LICENSE_ID_SIZE),
         consumer_id=consumer.id,

@@ -186,9 +186,6 @@ class StateDirectory:
     def session_path(self) -> Path:
         return self.root / "session.json"
 
-    def exists(self) -> bool:
-        return self.config_path.is_file()
-
     def initialize(self, config: Config):
         self.root.mkdir(parents=True, exist_ok=True)
         for directory in (self.accounts_dir, self.hosts_dir, self.manifests_dir,
@@ -196,11 +193,10 @@ class StateDirectory:
             directory.mkdir(exist_ok=True)
         _write(self.config_path, config.to_text().encode("utf-8"))
         if not self.roster_path.is_file():  # a second init keeps the hosts
-            self.save_roster(StorageNetwork.with_hosts(
-                config.host_count, replication_factor=config.replication_factor))
+            self.save_roster(StorageNetwork.with_hosts(config.host_count))
 
     def require(self):
-        if not self.exists():
+        if not self.config_path.is_file():
             raise StateMissing(f"no state at {self.root} (run init first)")
 
     @contextmanager
@@ -280,9 +276,7 @@ class StateDirectory:
         network = StorageNetwork(hosts=hosts,
                                  replication_factor=config.replication_factor)
         for path in sorted(self.manifests_dir.glob("*.manifest")):
-            manifest = _load(path, FileManifest.from_bytes)
-            link = SkyLink.from_digest(digest(manifest.core_bytes()))
-            network.register_manifest(link, manifest)
+            network.register_manifest(_load(path, FileManifest.from_bytes))
         return network
 
     # -- licenses and secrets ------------------------------------------------

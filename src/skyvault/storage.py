@@ -128,9 +128,13 @@ class SkyLink:
     text: str
 
     def digest(self) -> Digest:
+        """The manifest-core digest; a malformed link is ``UnknownSkylink``."""
         if not self.text.startswith(SKYLINK_PREFIX):
-            raise ValueError(f"skylink must start with {SKYLINK_PREFIX!r}")
-        return Digest(b64u_decode(self.text[len(SKYLINK_PREFIX):]))
+            raise UnknownSkylink(f"malformed skylink: must start with {SKYLINK_PREFIX!r}")
+        try:
+            return Digest(b64u_decode(self.text[len(SKYLINK_PREFIX):]))
+        except ValueError as exc:
+            raise UnknownSkylink(f"malformed skylink: {exc}") from None
 
     @classmethod
     def from_digest(cls, value: Digest) -> "SkyLink":
@@ -140,9 +144,9 @@ class SkyLink:
 class Host:
     """Simulated storage host; stores only ciphertext fragments."""
 
-    def __init__(self, host_id: str, alive: bool = True):
+    def __init__(self, host_id: str):
         self.host_id = host_id
-        self.alive = alive
+        self.alive = True
         self._fragments: dict[bytes, bytes] = {}
 
     def store(self, ciphertext_digest: Digest, ciphertext: bytes):
@@ -166,11 +170,11 @@ class Host:
 class StorageNetwork:
     """Host roster plus the manifest registry, keyed by skylink digest."""
 
-    def __init__(self, hosts: list[Host] | None = None,
+    def __init__(self, hosts: list[Host],
                  replication_factor: int = DEFAULT_REPLICATION):
         if replication_factor < 1:
             raise ValueError("replication factor must be >= 1")
-        self.hosts: list[Host] = hosts if hosts is not None else []
+        self.hosts = hosts
         self.replication_factor = replication_factor
         self._manifests: dict[bytes, FileManifest] = {}
 
@@ -188,15 +192,11 @@ class StorageNetwork:
     def live_hosts(self) -> list[Host]:
         return [host for host in self.hosts if host.alive]
 
-    def register_manifest(self, link: SkyLink, manifest: FileManifest):
-        self._manifests[link.digest().value] = manifest
+    def register_manifest(self, manifest: FileManifest):
+        self._manifests[digest(manifest.core_bytes()).value] = manifest
 
     def lookup(self, link: SkyLink) -> FileManifest:
-        try:
-            key = link.digest().value
-        except ValueError as exc:
-            raise UnknownSkylink(f"malformed skylink: {exc}") from exc
-        manifest = self._manifests.get(key)
+        manifest = self._manifests.get(link.digest().value)
         if manifest is None:
             raise UnknownSkylink(f"no manifest for {link.text}")
         return manifest
@@ -264,7 +264,7 @@ def upload(data: bytes, network: StorageNetwork, uploader: KeyPair,
         records.append(dataclasses.replace(
             record, host_ids=tuple(host.host_id for host in replicas)))
     manifest = dataclasses.replace(manifest, chunk_records=tuple(records))
-    network.register_manifest(link, manifest)
+    network.register_manifest(manifest)
     return link, manifest
 
 
@@ -333,14 +333,10 @@ def verify_skylink(link: SkyLink, data: bytes, uploader: KeyPair,
                    chunk_size: int = DEFAULT_CHUNK_SIZE) -> bool:
     """True iff re-deriving the manifest core over data reproduces the skylink."""
     try:
-        expected = link.digest()
-    except ValueError:
-        return False
-    try:
         built_link, _, _ = build_manifest(data, uploader, chunk_size)
     except BadChunkSize:
         return False
-    return built_link.digest() == expected
+    return built_link == link
 
 
 def fail_host(network: StorageNetwork, host_id: str):

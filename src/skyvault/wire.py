@@ -85,13 +85,12 @@ def b64u(data: bytes) -> str:
 
 
 def b64u_decode(text: str) -> bytes:
-    """Strict inverse of :func:`b64u`; padded or malformed input is rejected."""
-    if "=" in text:
-        raise ValueError("padded base64url not accepted")
-    pad = -len(text) % 4
-    if pad == 3:
-        raise ValueError("invalid base64url length")
+    """Strict inverse of :func:`b64u`: only the text it writes is accepted,
+    so padding, other characters and nonzero unused bits are rejected."""
     try:
-        return base64.urlsafe_b64decode(text + "=" * pad)
+        data = base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
     except Exception as exc:
         raise ValueError(f"invalid base64url: {exc}") from exc
+    if b64u(data) != text:
+        raise ValueError("not canonical base64url")
+    return data

@@ -513,6 +513,109 @@ class TestKilledMidWrite:
             assert hashlib.sha256(path.read_bytes()).hexdigest() == path.name
 
 
+def _copy(purchased, tmp_path) -> Path:
+    root = tmp_path / "state"
+    shutil.copytree(purchased.root, root)
+    return root
+
+
+class TestPlaySpend:
+    """play spends a use only on content it delivers."""
+
+    def test_failed_fetch_spends_no_use(self, runner, root, tmp_path):
+        media, skylink = bootstrap(runner, root, tmp_path, size=20_000)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        run(runner, root, "buy", skylink, "--max-uses", "2")
+        hosts = [f"h{i}" for i in range(5)]
+        for host_id in hosts:
+            run(runner, root, "host", "fail", host_id)
+        for _ in range(2):
+            result = run(runner, root, "play", skylink, str(tmp_path / "o.bin"), expect=1)
+            assert stderr_json(result)["error"] == "all_replicas_down"
+        for host_id in hosts:
+            run(runner, root, "host", "revive", host_id)
+        for uses in ("1/2", "2/2"):
+            result = run(runner, root, "play", skylink, str(tmp_path / "o.bin"))
+            assert f"uses: {uses}" in result.output
+        assert (tmp_path / "o.bin").read_bytes() == media
+
+    def test_unwritable_out_spends_no_use(self, runner, root, tmp_path):
+        media, skylink = bootstrap(runner, root, tmp_path, size=20_000)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        run(runner, root, "buy", skylink, "--max-uses", "1")
+        result = run(runner, root, "play", skylink, str(tmp_path / "missing" / "o.bin"),
+                     expect=1)
+        assert stderr_json(result)["error"] == "output_unwritable"
+        result = run(runner, root, "play", skylink, str(tmp_path / "o.bin"))
+        assert "uses: 1/1" in result.output
+        assert (tmp_path / "o.bin").read_bytes() == media
+
+    def test_no_license_held(self, runner, purchased, tmp_path):
+        root = _copy(purchased, tmp_path)
+        run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+        result = run(runner, root, "play", purchased.skylink, str(tmp_path / "o.bin"),
+                     expect=1)
+        assert stderr_json(result)["error"] == "unknown_license"
+        assert not (tmp_path / "o.bin").exists()
+
+
+class TestBadInput:
+    """Bad input ends in one JSON error with exit 1, or in a usage error
+    naming the option with exit 2; never in a traceback."""
+
+    CASES = {
+        "validity past u64": (["buy", "{skylink}", "--valid-seconds", "9" * 20],
+                              1, "invalid_rules"),
+        "bind without a port": (["serve", "--bind", "nonsense"], 2, "--bind"),
+        "bind port out of range": (["serve", "--bind", "127.0.0.1:99999"], 2, "--bind"),
+        "bandwidths not numbers": (["hls-package", "{media}", "{tmp}/hls",
+                                    "--bandwidths", "abc"], 2, "--bandwidths"),
+        "bandwidth zero": (["hls-package", "{media}", "{tmp}/hls",
+                            "--bandwidths", "800000,0"], 2, "--bandwidths"),
+        "download into a missing directory": (
+            ["download", "{skylink}", "{tmp}/missing/x", "--as", "studio-prime"],
+            1, "output_unwritable"),
+        "key-out into a missing directory": (
+            ["hls-package", "{media}", "{tmp}/hls", "--key-out", "{tmp}/missing/k"],
+            1, "output_unwritable"),
+        "play a non-skylink": (["play", "notalink", "{tmp}/o.bin"], 1, "unknown_skylink"),
+        "play a short skylink": (["play", "sia://AAAA", "{tmp}/o.bin"],
+                                 1, "unknown_skylink"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_without_traceback(self, runner, purchased, tmp_path, case):
+        argv, code, expected = self.CASES[case]
+        root = _copy(purchased, tmp_path)
+        args = [arg.format(skylink=purchased.skylink, media=purchased.small, tmp=tmp_path)
+                for arg in argv]
+        result = runner.invoke(main, ["--state", str(root), *args],
+                               catch_exceptions=False)
+        stderr = result.stderr_bytes.decode()
+        assert result.exit_code == code, stderr
+        assert "Traceback" not in stderr
+        if code == 1:
+            assert json.loads(stderr)["error"] == expected
+        else:
+            assert expected in stderr
+        assert not (tmp_path / "hls").exists()
+
+
+class TestVerifyChain:
+    def test_reordered_records_fail_verification(self, runner, purchased, tmp_path):
+        root = _copy(purchased, tmp_path)
+        run(runner, root, "buy", purchased.skylink)
+        chain_path = root / "chain.log"
+        data = chain_path.read_bytes()
+        first = 4 + int.from_bytes(data[:4], "big") + 32  # length, record, checksum
+        chain_path.write_bytes(data[first:] + data[:first])
+        result = run(runner, root, "verify-chain", expect=1)
+        payload = json.loads(result.stderr_bytes)  # one JSON object, nothing else
+        assert payload["error"] == "chain_invalid"
+        assert payload["first_bad_height"] == 0
+        assert "height 0" in payload["message"]
+
+
 def _src_env(**extra) -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=src, **extra)

@@ -154,10 +154,8 @@ class TestCipherOracle:
 
 class TestMasterPlaylist:
     def test_two_renditions_sorted(self):
-        master = master_playlist([
-            {"bandwidth": 2_400_000, "media_playlist_name": "hi.m3u8"},
-            {"bandwidth": 800_000, "media_playlist_name": "low.m3u8"},
-        ])
+        master = master_playlist([Rendition(2_400_000, "hi.m3u8"),
+                                  Rendition(800_000, "low.m3u8")])
         lines = master.text.splitlines()
         inf_lines = [l for l in lines if l.startswith("#EXT-X-STREAM-INF:")]
         assert inf_lines == ["#EXT-X-STREAM-INF:BANDWIDTH=800000",
