@@ -23,7 +23,7 @@ from pathlib import Path
 import click
 
 from .crypto import Digest, derive_credential, generate_keypair
-from .errors import (ChainInvalid, NotAuthenticated, OutputUnwritable,
+from .errors import (BindFailed, ChainInvalid, NotAuthenticated, OutputUnwritable,
                      RightsDenied, SkyVaultError, UnknownLicense)
 from .hls import DEFAULT_KEY_URI, master_playlist, package, write_package, Rendition
 from .identity import solve_challenge
@@ -38,7 +38,7 @@ from .licensing import (
 )
 from .service import IdentityHttpServer
 from .state import Config, StateDirectory, load_identity, load_world
-from .storage import SkyLink, download_with_key, fail_host, revive_host
+from .storage import SkyLink, download_with_key, fail_host, open_file_key, revive_host
 from .storage import download as storage_download
 from .storage import upload as storage_upload
 
@@ -52,9 +52,7 @@ def cli_errors(fn):
         try:
             return fn(*args, **kwargs)
         except SkyVaultError as exc:
-            payload = {"error": exc.code, "message": str(exc)}
-            payload.update(exc.details())
-            click.echo(json.dumps(payload), err=True)
+            click.echo(json.dumps(exc.to_json()), err=True)
             sys.exit(1)
     return wrapper
 
@@ -71,10 +69,11 @@ def with_world(fn):
     return wrapper
 
 
-def _open_out(path):
-    """PATH opened for writing; one that cannot be is ``OutputUnwritable``."""
+def _open_out(path, write=functools.partial(open, mode="wb")):
+    """``write(path)``, by default PATH opened for writing; a PATH that
+    cannot be written is ``OutputUnwritable``."""
     try:
-        return open(path, "wb")
+        return write(path)
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc.strerror}") from None
 
@@ -188,10 +187,13 @@ def download(world, skylink, out, as_id):
               help="Provider account (default: current login).")
 @with_world
 def publish(world, skylink, title, as_id):
-    """List uploaded content in the catalog so consumers can buy it."""
+    """List your uploaded content, once, in the catalog so consumers can
+    buy it; only the uploader's key opens the content key."""
     provider_id = as_id or _login(world)[1]
-    world.network.lookup(SkyLink(skylink))
-    world.state.add_catalog_entry(title, SkyLink(skylink), provider_id)
+    link = SkyLink(skylink)
+    open_file_key(world.network.lookup(link),
+                  world.state.load_keypair(provider_id).private_key)
+    world.state.add_catalog_entry(title, link, provider_id)
     click.echo(f"Published {title!r} at {skylink}")
 
 
@@ -288,29 +290,26 @@ def _bandwidths(ctx, param, value):
               help="Key URI for the playlist.")
 @click.option("--key-out", type=click.Path(dir_okay=False), default=None,
               help="Write the key here; must not live inside OUTDIR.")
-@click.option("--segment-bytes", type=click.IntRange(min=1), default=None,
-              help="Segment size (default: config value).")
 @click.option("--bandwidths", callback=_bandwidths,
               help="Comma-separated bits/s to also emit a master playlist.")
 @with_world
-def hls_package(world, file, outdir, key_uri, key_out, segment_bytes,
-                bandwidths):
-    """Encrypt FILE into HLS segments plus an M3U8 playlist in OUTDIR."""
+def hls_package(world, file, outdir, key_uri, key_out, bandwidths):
+    """Encrypt FILE into HLS segments of the state's segment_bytes (set by
+    init) plus an M3U8 playlist in OUTDIR."""
     if key_out and Path(outdir).resolve() in Path(key_out).resolve().parents:
         raise click.UsageError("--key-out must not point inside OUTDIR")
-    if segment_bytes is None:
-        segment_bytes = world.config.segment_bytes
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
-    pkg = package(media, key, segment_bytes=segment_bytes, key_uri=key_uri)
+    pkg = package(media, key, segment_bytes=world.config.segment_bytes,
+                  key_uri=key_uri)
     master = None
     if bandwidths:
         master = master_playlist([Rendition(b, "playlist.m3u8") for b in bandwidths])
     if key_out:  # first: a package whose key was lost could never be played
         with _open_out(key_out) as handle:
             handle.write(key)
-    write_package(pkg, outdir, master=master)
+    _open_out(outdir, lambda out: write_package(pkg, out, master=master))
     click.echo(f"Packaged {len(pkg.segments)} segments into {outdir}")
 
 
@@ -390,16 +389,20 @@ def serve(state_root, bind):
             state.save_account(account)
             return account
 
-    server = IdentityHttpServer(identity, *bind, register=register)
+    try:
+        server = IdentityHttpServer(identity, *bind, register=register)
+    except OSError as exc:
+        raise BindFailed(f"cannot bind {bind[0]}:{bind[1]}: {exc.strerror}") from None
 
     def stop(signum, frame):
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGINT, stop)
     signal.signal(signal.SIGTERM, stop)
-    click.echo(f"Serving identity API on {server.url}")
     try:
-        server.serve_forever()
+        server.start()
+        click.echo(f"Serving identity API on {server.url}")
+        signal.pause()  # until SIGINT or SIGTERM
     except KeyboardInterrupt:
         pass
     finally:

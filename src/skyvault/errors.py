@@ -1,8 +1,8 @@
 """Exception hierarchy with stable machine-readable error codes.
 
 Every error carries a ``code`` string that stays stable across releases;
-the CLI surfaces it in structured JSON on stderr so scripts can match on
-it instead of parsing prose.
+the CLI (on stderr) and the HTTP service (in the reply body) surface it
+as ``to_json()``, so scripts can match on it instead of parsing prose.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ class SkyVaultError(Exception):
     def details(self) -> dict:
         """Extra machine-readable context for structured error output."""
         return {}
+
+    def to_json(self) -> dict:
+        return {"error": self.code, "message": str(self), **self.details()}
 
 
 # -- crypto ------------------------------------------------------------------
@@ -288,3 +291,11 @@ class UnknownLicense(SkyVaultError):
 
 class OutputUnwritable(SkyVaultError):
     code = "output_unwritable"
+
+
+class BindFailed(SkyVaultError):
+    code = "bind_failed"
+
+
+class AlreadyPublished(SkyVaultError):
+    code = "already_published"

@@ -187,13 +187,32 @@ _KEY_RE = re.compile(r'^#EXT-X-KEY:METHOD=([A-Z0-9-]+),URI="([^"]*)"$')
 _EXTINF_RE = re.compile(r"^#EXTINF:([0-9]+(?:\.[0-9]+)?),(.*)$")
 
 
+def _int_attr(line: str) -> int:
+    value = line.partition(":")[2]
+    if not value.isdigit():
+        raise MalformedPlaylist(f"non-integer value in {line!r}")
+    return int(value)
+
+
+def _key_attr(line: str) -> tuple[str, str]:
+    match = _KEY_RE.match(line)
+    if not match:
+        raise MalformedPlaylist(f"bad #EXT-X-KEY line: {line!r}")
+    return match.group(1), match.group(2)
+
+
+# The tags a media playlist carries exactly once, each with the parser
+# of its line, in the order a missing one is reported.
+_ONCE_TAGS = {"#EXT-X-VERSION": _int_attr, "#EXT-X-TARGETDURATION": _int_attr,
+              "#EXT-X-MEDIA-SEQUENCE": _int_attr, "#EXT-X-KEY": _key_attr}
+
+
 def validate_media_playlist(text: str) -> ParsedMediaPlaylist:
     """Parse and check the media-playlist grammar; raises MalformedPlaylist."""
     lines = text.splitlines()
     if not lines or lines[0] != "#EXTM3U":
         raise MalformedPlaylist("first line must be #EXTM3U")
-    version = target = sequence = None
-    key_method = key_uri = None
+    once = {}  # tag -> parsed value
     segments: list[tuple[float, str]] = []
     pending_duration: Optional[float] = None
     ended = False
@@ -202,25 +221,11 @@ def validate_media_playlist(text: str) -> ParsedMediaPlaylist:
             continue
         if ended:
             raise MalformedPlaylist(f"content after #EXT-X-ENDLIST: {line!r}")
-        if line.startswith("#EXT-X-VERSION:"):
-            if version is not None:
-                raise MalformedPlaylist("duplicate #EXT-X-VERSION")
-            version = _int_attr(line, "#EXT-X-VERSION:")
-        elif line.startswith("#EXT-X-TARGETDURATION:"):
-            if target is not None:
-                raise MalformedPlaylist("duplicate #EXT-X-TARGETDURATION")
-            target = _int_attr(line, "#EXT-X-TARGETDURATION:")
-        elif line.startswith("#EXT-X-MEDIA-SEQUENCE:"):
-            if sequence is not None:
-                raise MalformedPlaylist("duplicate #EXT-X-MEDIA-SEQUENCE")
-            sequence = _int_attr(line, "#EXT-X-MEDIA-SEQUENCE:")
-        elif line.startswith("#EXT-X-KEY:"):
-            if key_method is not None:
-                raise MalformedPlaylist("duplicate #EXT-X-KEY")
-            match = _KEY_RE.match(line)
-            if not match:
-                raise MalformedPlaylist(f"bad #EXT-X-KEY line: {line!r}")
-            key_method, key_uri = match.group(1), match.group(2)
+        tag, colon, _ = line.partition(":")
+        if colon and tag in _ONCE_TAGS:
+            if tag in once:
+                raise MalformedPlaylist(f"duplicate {tag}")
+            once[tag] = _ONCE_TAGS[tag](line)
         elif line.startswith("#EXTINF:"):
             if pending_duration is not None:
                 raise MalformedPlaylist("#EXTINF without a following URI")
@@ -239,14 +244,9 @@ def validate_media_playlist(text: str) -> ParsedMediaPlaylist:
             pending_duration = None
     if pending_duration is not None:
         raise MalformedPlaylist("trailing #EXTINF without URI")
-    if version is None:
-        raise MalformedPlaylist("missing #EXT-X-VERSION")
-    if target is None:
-        raise MalformedPlaylist("missing #EXT-X-TARGETDURATION")
-    if sequence is None:
-        raise MalformedPlaylist("missing #EXT-X-MEDIA-SEQUENCE")
-    if key_method is None:
-        raise MalformedPlaylist("missing #EXT-X-KEY")
+    for tag in _ONCE_TAGS:
+        if tag not in once:
+            raise MalformedPlaylist(f"missing {tag}")
     if not ended:
         raise MalformedPlaylist("missing #EXT-X-ENDLIST")
     if not segments:
@@ -254,12 +254,15 @@ def validate_media_playlist(text: str) -> ParsedMediaPlaylist:
     names = [name for _, name in segments]
     if len(set(names)) != len(names):
         raise MalformedPlaylist("segment referenced more than once")
+    target = once["#EXT-X-TARGETDURATION"]
     for duration, name in segments:
         if round(duration) > target:
             raise MalformedPlaylist(
                 f"segment {name} duration {duration} exceeds target {target}")
+    key_method, key_uri = once["#EXT-X-KEY"]
     return ParsedMediaPlaylist(
-        version=version, target_duration=target, media_sequence=sequence,
+        version=once["#EXT-X-VERSION"], target_duration=target,
+        media_sequence=once["#EXT-X-MEDIA-SEQUENCE"],
         key_method=key_method, key_uri=key_uri, segments=tuple(segments))
 
 
@@ -327,10 +330,3 @@ def read_package(outdir, key: bytes | None = None) -> HlsPackage:
         key_uri=parsed.key_uri,
         key=key,
     )
-
-
-def _int_attr(line: str, prefix: str) -> int:
-    value = line[len(prefix):]
-    if not value.isdigit():
-        raise MalformedPlaylist(f"non-integer value in {line!r}")
-    return int(value)

@@ -53,16 +53,7 @@ _RECORD_CHECKSUM_SIZE = 32
 
 
 def leading_zero_bits(data: bytes) -> int:
-    bits = 0
-    for byte in data:
-        if byte == 0:
-            bits += 8
-            continue
-        while byte & 0x80 == 0:
-            bits += 1
-            byte <<= 1
-        break
-    return bits
+    return 8 * len(data) - int.from_bytes(data, "big").bit_length()
 
 
 @dataclass(frozen=True)

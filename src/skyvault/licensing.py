@@ -48,10 +48,8 @@ from .errors import (
     InvalidRules,
     InvalidToken,
     Expired as SessionExpired,
-    KeyAccessDenied,
     LedgerRejected,
     NotAuthenticated,
-    OpenFailed,
     RightsDenied,
     UnknownAction,
     UnknownContent,
@@ -59,7 +57,7 @@ from .errors import (
 )
 from .identity import Account, IdentityService, SessionToken
 from .ledger import Chain, Transaction, make_transaction
-from .storage import SkyLink, StorageNetwork
+from .storage import SkyLink, StorageNetwork, open_file_key
 from .wire import pack_fields, read_u64, u64, unpack_fields
 
 LICENSE_ID_SIZE = 16
@@ -366,11 +364,7 @@ def execute_purchase(identity: IdentityService, session_token: SessionToken,
     except UnknownSkylink as exc:
         raise UnknownContent(f"no content for id {content_id.hex}") from exc
 
-    try:
-        content_key = open_envelope(provider.private_key, manifest.encrypted_file_key)
-    except OpenFailed:
-        raise KeyAccessDenied(
-            "provider key cannot unlock this content's file key") from None
+    content_key = open_file_key(manifest, provider.private_key)
     license = issue_license(provider, consumer_account, content_id,
                             content_key, rules, rights, now)
     secret_block, sealed = build_secret_block(

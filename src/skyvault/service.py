@@ -190,11 +190,7 @@ def _handler_class(identity: IdentityService,
                     session = identity.complete_auth(
                         _octets(body, "challenge_id"),
                         Digest(_octets(body, "response")))
-                    self._reply(200, {
-                        "token": b64u(session.token),
-                        "account_id": session.account_id,
-                        "expires_at": session.expires_at,
-                    })
+                    self._reply(200, session.to_json())
                 else:
                     self._reply(404, {"error": "not_found",
                                       "message": f"no such endpoint: {self.path}"})
@@ -265,8 +261,7 @@ def _handler_class(identity: IdentityService,
                 self._reply(400, {"error": "bad_request", "message": str(exc)})
                 return
             if isinstance(exc, SkyVaultError):
-                status = _STATUS_BY_ERROR.get(type(exc), 400)
-                self._reply(status, {"error": exc.code, "message": str(exc)})
+                self._reply(_STATUS_BY_ERROR.get(type(exc), 400), exc.to_json())
                 return
             self._reply(500, {"error": "internal", "message": str(exc)})
 
@@ -314,17 +309,15 @@ class IdentityHttpServer:
         return f"http://{host}:{port}"
 
     def start(self):
-        self._thread = threading.Thread(
+        thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05),
             name="identity-http", daemon=True)
-        self._thread.start()
-
-    def serve_forever(self):
-        self._server.serve_forever(poll_interval=0.05)
+        thread.start()
+        self._thread = thread
 
     def shutdown(self):
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for the serving loop
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()

@@ -71,8 +71,8 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .crypto import Digest, KeyPair, digest
-from .errors import (BadConfig, StateCorrupt, StateMissing, UnknownLicense,
-                     UnknownSkylink)
+from .errors import (AlreadyPublished, BadConfig, StateCorrupt, StateMissing,
+                     UnknownLicense, UnknownSkylink)
 from .hls import DEFAULT_SEGMENT_BYTES
 from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_TTL_DEFAULT, Account,
                        IdentityService, SessionToken, check_id)
@@ -314,6 +314,8 @@ class StateDirectory:
 
     def add_catalog_entry(self, title: str, skylink: SkyLink, provider_id: str):
         catalog = self.load_catalog()
+        if any(entry["skylink"] == skylink.text for entry in catalog):
+            raise AlreadyPublished(f"already in catalog: {skylink.text}")
         catalog.append({"title": title, "skylink": skylink.text,
                         "provider_id": provider_id})
         _write_json(self.catalog_path, catalog)

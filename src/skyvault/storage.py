@@ -268,13 +268,17 @@ def upload(data: bytes, network: StorageNetwork, uploader: KeyPair,
     return link, manifest
 
 
+def open_file_key(manifest: FileManifest, private_key: bytes) -> bytes:
+    """The file's content key, which only the uploader's key opens."""
+    try:
+        return open_envelope(private_key, manifest.encrypted_file_key)
+    except OpenFailed:
+        raise KeyAccessDenied("this key cannot open the content key") from None
+
+
 def download(link: SkyLink, network: StorageNetwork, requester_private: bytes) -> bytes:
     """Fetch, verify, and decrypt a file; the requester must own the file key."""
-    manifest = network.lookup(link)
-    try:
-        file_key = open_envelope(requester_private, manifest.encrypted_file_key)
-    except OpenFailed:
-        raise KeyAccessDenied("requester's key cannot open the file key") from None
+    file_key = open_file_key(network.lookup(link), requester_private)
     return download_with_key(link, network, file_key)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import select
 import shutil
+import socket
 import subprocess
 import sys
 import time
@@ -223,6 +224,22 @@ class TestDamagedState:
         assert "abc" in error["message"]
 
 
+class TestPublish:
+    def test_only_the_uploader_lists_a_skylink_once(self, runner, root, tmp_path):
+        media, skylink = bootstrap(runner, root, tmp_path)
+        catalog = (root / "catalog.json").read_bytes()
+        result = run(runner, root, "publish", skylink, "--title", "Knock-off",
+                     "--as", "alice-consumer", expect=1)
+        assert stderr_json(result)["error"] == "key_access_denied"
+        result = run(runner, root, "publish", skylink, "--title", "Again", expect=1)
+        assert stderr_json(result)["error"] == "already_published"
+        assert (root / "catalog.json").read_bytes() == catalog
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        run(runner, root, "buy", skylink)
+        run(runner, root, "play", skylink, str(tmp_path / "played.bin"))
+        assert (tmp_path / "played.bin").read_bytes() == media
+
+
 class TestInit:
     def test_options_mirror_config(self):
         options = {param.name: param.default for param in main.commands["init"].params}
@@ -236,14 +253,14 @@ class TestInit:
 
 class TestHlsCommand:
     def test_package_and_key_out(self, runner, root, tmp_path):
-        run(runner, root, "init")
+        run(runner, root, "init", "--segment-bytes", "1000000")
         media = os.urandom(3_000_000)
         src = tmp_path / "movie.bin"
         src.write_bytes(media)
         outdir = tmp_path / "hls"
         keyfile = tmp_path / "movie.key"
         result = run(runner, root, "hls-package", str(src), str(outdir),
-                     "--segment-bytes", "1000000", "--key-out", str(keyfile),
+                     "--key-out", str(keyfile),
                      "--bandwidths", "800000,2400000")
         assert "Packaged 3 segments" in result.output
         key = keyfile.read_bytes()
@@ -266,16 +283,11 @@ class TestHlsCommand:
         assert not outdir.exists()
 
     @pytest.mark.parametrize("segment_bytes", ["0", "-5"])
-    def test_nonpositive_segment_bytes_refused(self, runner, root, tmp_path,
-                                               segment_bytes):
-        run(runner, root, "init")
-        src = tmp_path / "m.bin"
-        src.write_bytes(b"media bytes")
-        outdir = tmp_path / "hls"
-        result = run(runner, root, "hls-package", str(src), str(outdir),
-                     "--segment-bytes", segment_bytes, expect=2)
-        assert "--segment-bytes" in result.output + str(result.stderr_bytes)
-        assert not outdir.exists()
+    def test_nonpositive_segment_bytes_refused(self, runner, root, segment_bytes):
+        # The segment size is set once, by init, and checked there.
+        result = run(runner, root, "init", "--segment-bytes", segment_bytes, expect=1)
+        assert stderr_json(result)["error"] == "bad_config"
+        assert not (root / "config").exists()
 
 
 class TestColdRestart:
@@ -578,6 +590,8 @@ class TestBadInput:
         "key-out into a missing directory": (
             ["hls-package", "{media}", "{tmp}/hls", "--key-out", "{tmp}/missing/k"],
             1, "output_unwritable"),
+        "package below a regular file": (
+            ["hls-package", "{media}", "{media}/hls"], 1, "output_unwritable"),
         "play a non-skylink": (["play", "notalink", "{tmp}/o.bin"], 1, "unknown_skylink"),
         "play a short skylink": (["play", "sia://AAAA", "{tmp}/o.bin"],
                                  1, "unknown_skylink"),
@@ -780,6 +794,22 @@ class TestServe:
         assert proc.returncode == 0, proc.stderr.read()
         assert account_file.read_bytes() == saved
         run(runner, root, "login", "dave-viewer", "--password", PASSWORD)
+
+    def test_busy_address_is_a_json_error(self, runner, root):
+        run(runner, root, "init")
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            proc = subprocess.run(
+                [sys.executable, "-m", "skyvault", "--state", str(root), "serve",
+                 "--bind", f"127.0.0.1:{port}"],
+                capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stderr)  # one JSON object, nothing else
+        assert payload["error"] == "bind_failed"
+        assert f"127.0.0.1:{port}" in payload["message"]
 
     def test_memory_does_not_grow_with_stored_bytes(self, runner, tmp_path):
         # serve reads accounts and sessions only, never the fragments.

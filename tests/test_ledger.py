@@ -57,6 +57,14 @@ class TestLeadingZeroBits:
         assert leading_zero_bits(b"\x00\x20") == 10
         assert leading_zero_bits(b"\x00\x00\xff") == 16
 
+    def test_matches_counting_bit_by_bit(self):
+        # Every 2-byte value, and 32-byte hashes with 0-255 leading zeros.
+        cases = [value.to_bytes(2, "big") for value in range(1 << 16)]
+        cases += [(1 << shift).to_bytes(32, "big") for shift in range(256)]
+        for data in cases:
+            bits = "".join(f"{byte:08b}" for byte in data)
+            assert leading_zero_bits(data) == len(bits) - len(bits.lstrip("0")), data
+
 
 class TestSubmit:
     def test_accepted_into_pending(self, chain, clock):

@@ -447,3 +447,55 @@ class TestResponseHead:
     def test_404_head(self, server):
         request = b"GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
         self.check(exchange(server, request), "HTTP/1.1 404 Not Found")
+
+
+class TestReplyBodies:
+    """Error replies and the session reply, byte for byte."""
+
+    CLOSE = b"Connection: close\r\n"
+
+    def answer(self, server, request: bytes) -> tuple[str, bytes]:
+        [(status, _, body)] = replies(exchange(server, request))
+        return status, body
+
+    def test_409_duplicate_id(self, server):
+        register(server)
+        body = json.dumps({"id": "alice-consumer", "password": "sturdy password",
+                           "public_key": b64u(generate_keypair().public_key)})
+        assert self.answer(server, post("/register", body.encode(), self.CLOSE)) == (
+            "HTTP/1.1 409 Conflict",
+            b'{"error": "duplicate_id", '
+            b'"message": "account already registered: alice-consumer"}')
+
+    def test_404_unknown_id(self, server):
+        assert self.answer(server, post("/auth/begin", extra=self.CLOSE)) == (
+            "HTTP/1.1 404 Not Found",
+            b'{"error": "unknown_id", "message": "no such account: ghost-user"}')
+
+    def test_404_not_found(self, server):
+        request = b"GET /nope HTTP/1.1\r\nHost: x\r\n" + self.CLOSE + b"\r\n"
+        assert self.answer(server, request) == (
+            "HTTP/1.1 404 Not Found",
+            b'{"error": "not_found", "message": "no such endpoint: /nope"}')
+
+    def test_401_response_mismatch(self, server):
+        register(server)
+        _, begin = call(server, "POST", "/auth/begin", {"id": "alice-consumer"})
+        body = json.dumps({"challenge_id": begin["challenge_id"],
+                           "response": b64u(digest(b"wild guess").value)})
+        assert self.answer(server, post("/auth/complete", body.encode(), self.CLOSE)) == (
+            "HTTP/1.1 401 Unauthorized",
+            b'{"error": "response_mismatch", '
+            b'"message": "challenge response does not match"}')
+
+    def test_401_invalid_token(self, server):
+        request = (b"GET /session/" + b64u(b"\x77" * 32).encode()
+                   + b" HTTP/1.1\r\nHost: x\r\n" + self.CLOSE + b"\r\n")
+        assert self.answer(server, request) == (
+            "HTTP/1.1 401 Unauthorized",
+            b'{"error": "invalid_token", "message": "no such session"}')
+
+    def test_session_keys_in_order(self, server):
+        status, body = full_login(server)
+        assert status == 200
+        assert list(body) == ["token", "account_id", "expires_at"]

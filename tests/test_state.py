@@ -4,6 +4,7 @@ import pytest
 
 from skyvault.crypto import derive_credential, digest, generate_keypair
 from skyvault.errors import (
+    AlreadyPublished,
     BadConfig,
     BadIdentifier,
     InvalidToken,
@@ -207,6 +208,16 @@ class TestStateDirectory:
         entry = state.find_catalog_entry(link.text)
         assert entry["title"] == "Example Feature"
         assert entry["provider_id"] == "studio-prime"
+
+    def test_catalog_lists_a_skylink_once(self, state):
+        from skyvault.storage import SkyLink
+        link = SkyLink.from_digest(digest(b"x"))
+        state.add_catalog_entry("Example Feature", link, "studio-prime")
+        catalog = state.catalog_path.read_bytes()
+        with pytest.raises(AlreadyPublished):
+            state.add_catalog_entry("Knock-off", link, "bob-viewer")
+        assert state.catalog_path.read_bytes() == catalog
+        assert state.find_catalog_entry(link.text)["provider_id"] == "studio-prime"
 
     @pytest.mark.parametrize("bad_id", ["../accounts/alice-consumer", "sessions"])
     def test_keystore_refuses_unsafe_ids(self, state, bad_id):
