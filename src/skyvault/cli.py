@@ -133,7 +133,6 @@ def login(world, id, password):
     response = solve_challenge(challenge.sealed_nonce, keypair.private_key,
                                verifier)
     session = world.identity.complete_auth(challenge.challenge_id, response)
-    world.state.save_sessions(world.identity.sessions())
     world.state.save_login(session)
     click.echo(f"Logged in as {id}; session valid until {session.expires_at}")
 
@@ -368,10 +367,10 @@ def _bind_address(ctx, param, value):
 def serve(state_root, bind):
     """Run the identity endpoints as an HTTP JSON service.
 
-    Only accounts and sessions are loaded. Each registration is checked
-    against the accounts on disk and saved as it happens; sessions at
-    shutdown, merged with those on disk. The state's lock is held only
-    for these and the load.
+    Only the accounts and the session key are loaded. Each registration
+    is checked against the accounts on disk and saved as it happens,
+    under the state's lock. A login writes nothing: its token carries its
+    own proof, and the CLI accepts it until it expires, server or not.
     """
     state = StateDirectory(state_root)
     with state.locked():
@@ -407,8 +406,4 @@ def serve(state_root, bind):
         pass
     finally:
         server.shutdown()
-        with state.locked():
-            for session in state.load_sessions():
-                identity.restore_session(session)
-            state.save_sessions(identity.sessions())
         click.echo("Shut down cleanly")

@@ -7,10 +7,16 @@ possession of the private key AND knowledge of the password. Challenges
 are single-use and expire; every transaction-facing call is gated on a
 session token issued here.
 
-The store is a single serialized state: concurrent requests apply one
-at a time. Sealing a challenge's nonce is the one slow step, and it runs
-outside the lock. A logical clock is injected so expiry is deterministic
-under test.
+A session token carries its own proof, so no table of sessions is kept:
+tag(32) ‖ expires_at(u64) ‖ nonce(16) ‖ utf8(account_id), where the tag
+is HMAC-SHA-256 (RFC 2104) under the session key over everything after
+it. The nonce keeps two logins of one account in one second apart. A
+token cannot be revoked before it expires.
+
+Accounts and challenges are one serialized state: concurrent requests
+apply one at a time. Sealing a challenge's nonce is the one slow step,
+and it runs outside the lock; validating a token takes no lock. A
+logical clock is injected so expiry is deterministic under test.
 """
 
 from __future__ import annotations
@@ -44,13 +50,14 @@ MIN_PASSWORD_LENGTH = 8
 
 CHALLENGE_ID_SIZE = 16
 NONCE_SIZE = 32
-TOKEN_SIZE = 32
+SESSION_KEY_SIZE = 32
+TOKEN_NONCE_SIZE = 16
+# Where a token's tag, expires_at and nonce end; the account id follows.
+_TAG_END, _EXPIRES_END, _ID_START = 32, 40, 40 + TOKEN_NONCE_SIZE
 
 # Account ids name files (accounts/<id>.json, keys/<id>.json), so an id
-# must be one plain file name: no separators, no leading dot, and not
-# the name of the sessions file that shares accounts/.
+# must be one plain file name: no separators and no leading dot.
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
-_RESERVED_ID = "sessions"
 
 
 @dataclass(frozen=True)
@@ -115,10 +122,8 @@ class SessionToken:
 
 def check_id(id: str) -> str:
     """Return ID if it is a safe account id, else raise BadIdentifier."""
-    if not _ID_PATTERN.fullmatch(id) or id == _RESERVED_ID:
-        raise BadIdentifier(
-            f"account id must match {_ID_PATTERN.pattern} and not be "
-            f"{_RESERVED_ID!r}: {id!r}")
+    if not _ID_PATTERN.fullmatch(id):
+        raise BadIdentifier(f"account id must match {_ID_PATTERN.pattern}: {id!r}")
     return id
 
 
@@ -128,28 +133,27 @@ def solve_challenge(sealed_nonce: Envelope, private_key: bytes, verifier: Digest
     return digest(nonce + verifier.value)
 
 
-def _drop_expired(table: OrderedDict, expires_at: Callable, now: int):
-    """Pop entries from the oldest end up to the first one still live."""
-    while table and now > expires_at(next(iter(table.values()))):
-        table.popitem(last=False)
-
-
 class IdentityService:
-    """Account, challenge, and session store behind one lock."""
+    """Accounts and challenges behind one lock. Without SESSION_KEY, a
+    random key is used, and only this service accepts its tokens."""
 
     def __init__(self, clock: Callable[[], int] | None = None,
                  challenge_ttl: int = CHALLENGE_TTL_DEFAULT,
-                 session_ttl: int = SESSION_TTL_DEFAULT):
+                 session_ttl: int = SESSION_TTL_DEFAULT,
+                 session_key: bytes | None = None):
         self._clock = clock or (lambda: int(time.time()))
         self._challenge_ttl = challenge_ttl
         self._session_ttl = session_ttl
+        # Keyed once; each token hashes a copy. A one-shot hmac.digest per
+        # token re-keys, and slows down when two threads call it at once.
+        self._mac = hmac.new(session_key or os.urandom(SESSION_KEY_SIZE),
+                             digestmod="sha256")
         self._lock = threading.Lock()
         self._accounts: dict[str, Account] = {}
-        # Both in issue order, so expired entries sit at the front. An
+        # In issue order, so expired challenges sit at the front. An
         # OrderedDict reaches its first entry in O(1); a dict rescans
         # the holes its front deletions leave.
         self._challenges: OrderedDict[bytes, Challenge] = OrderedDict()
-        self._sessions: OrderedDict[bytes, SessionToken] = OrderedDict()
 
     # -- registration and login ------------------------------------------
 
@@ -185,7 +189,9 @@ class IdentityService:
         sealed_nonce = seal(account.public_key, nonce)
         with self._lock:
             now = self._clock()
-            _drop_expired(self._challenges, lambda c: c.issued_at + self._challenge_ttl, now)
+            while self._challenges and now > (
+                    next(iter(self._challenges.values())).issued_at + self._challenge_ttl):
+                self._challenges.popitem(last=False)
             challenge = Challenge(
                 challenge_id=os.urandom(CHALLENGE_ID_SIZE),
                 account_id=account.id,
@@ -200,8 +206,7 @@ class IdentityService:
         """Check the response and trade the challenge for a session.
 
         The challenge is consumed whatever the outcome: replays and
-        mismatched responses both burn it. Also drops the sessions that
-        expired, oldest first, so the table holds only live ones.
+        mismatched responses both burn it.
         """
         with self._lock:
             challenge = self._challenges.pop(challenge_id, None)
@@ -211,28 +216,29 @@ class IdentityService:
             if now > challenge.issued_at + self._challenge_ttl:
                 raise Expired("challenge expired")
             account = self._accounts[challenge.account_id]
-            expected = digest(challenge.nonce + account.verifier.value)
-            if not hmac.compare_digest(response.value, expected.value):
-                raise ResponseMismatch("challenge response does not match")
-            session = SessionToken(
-                token=os.urandom(TOKEN_SIZE),
-                account_id=challenge.account_id,
-                expires_at=now + self._session_ttl,
-            )
-            _drop_expired(self._sessions, lambda s: s.expires_at, now)
-            self._sessions[session.token] = session
-            return session
+        expected = digest(challenge.nonce + account.verifier.value)
+        if not hmac.compare_digest(response.value, expected.value):
+            raise ResponseMismatch("challenge response does not match")
+        expires_at = min(now + self._session_ttl, 2**64 - 1)  # a u64 in the token
+        body = (expires_at.to_bytes(8, "big") + os.urandom(TOKEN_NONCE_SIZE)
+                + account.id.encode("utf-8"))
+        return SessionToken(token=self._tag(body) + body, account_id=account.id,
+                            expires_at=expires_at)
 
     def validate_session(self, token: bytes) -> str:
-        """Return the owning account id iff the token exists and is unexpired."""
-        with self._lock:
-            session = self._sessions.get(token)
-            if session is None:
-                raise InvalidToken("no such session")
-            if self._clock() > session.expires_at:
-                del self._sessions[token]
-                raise Expired("session expired")
-            return session.account_id
+        """Return the owning account id iff this service's key minted the
+        token and it is unexpired."""
+        if not (len(token) > _ID_START
+                and hmac.compare_digest(self._tag(token[_TAG_END:]), token[:_TAG_END])):
+            raise InvalidToken("no such session")
+        if self._clock() > int.from_bytes(token[_TAG_END:_EXPIRES_END], "big"):
+            raise Expired("session expired")
+        return token[_ID_START:].decode("utf-8")
+
+    def _tag(self, body: bytes) -> bytes:
+        mac = self._mac.copy()
+        mac.update(body)
+        return mac.digest()
 
     # -- lookups and persistence ------------------------------------------
 
@@ -247,19 +253,9 @@ class IdentityService:
         with self._lock:
             return list(self._accounts.values())
 
-    def sessions(self) -> list[SessionToken]:
-        """The unexpired sessions: what is worth persisting."""
-        with self._lock:
-            now = self._clock()
-            return [s for s in self._sessions.values() if now <= s.expires_at]
-
     def restore_account(self, account: Account):
         """Load a persisted account; duplicate ids still raise."""
         with self._lock:
             if account.id in self._accounts:
                 raise DuplicateId(f"account already registered: {account.id}")
             self._accounts[account.id] = account
-
-    def restore_session(self, session: SessionToken):
-        with self._lock:
-            self._sessions[session.token] = session

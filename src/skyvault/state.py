@@ -3,8 +3,8 @@
 Layout under the state root::
 
     config                      key=value lines
+    session.key                 32-byte HMAC key of the session tokens
     accounts/<id>.json          registered accounts
-    accounts/sessions.json      live session tokens
     hosts/roster.json           host ids and liveness
     hosts/<host_id>/<hex>       ciphertext fragments, named by digest
     manifests/<hex>.manifest    canonical manifests, named by skylink digest
@@ -22,9 +22,10 @@ restart rebuilds identical state. Each kind of file has one writer, in
 this module or, for the chain, ``ledger.append_block``, and a command
 calls only the writers for what it changed:
 
-    init                        config, hosts/roster.json
+    init                        config; session.key and
+                                hosts/roster.json if missing
     register                    accounts/<id>.json, keys/<id>.json
-    login                       accounts/sessions.json, session.json
+    login                       session.json
     upload                      new fragments, then its manifest
     host fail/revive            hosts/roster.json
     publish                     catalog.json
@@ -41,10 +42,10 @@ through the library; no command calls it.
 
 Commands on one state run one at a time: each holds
 ``StateDirectory.locked`` from before it loads until after it writes.
-``serve`` loads only accounts and sessions. It holds the lock only to
-load them, to register an account (after restoring those that other
-commands saved meanwhile), and at shutdown to merge its sessions with
-those on disk and save them, nothing else.
+``serve`` loads only the accounts and the session key. It holds the
+lock only to load them and to register an account (after restoring
+those that other commands saved meanwhile), nothing else: its sessions
+are tokens that carry their own proof, so it has none to save.
 
 Every loader reads through ``_load``: a missing file is ``StateMissing``
 and one that does not decode is ``StateCorrupt``, each naming the file,
@@ -74,8 +75,8 @@ from .crypto import Digest, KeyPair, digest
 from .errors import (AlreadyPublished, BadConfig, StateCorrupt, StateMissing,
                      UnknownLicense, UnknownSkylink)
 from .hls import DEFAULT_SEGMENT_BYTES
-from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_TTL_DEFAULT, Account,
-                       IdentityService, SessionToken, check_id)
+from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_KEY_SIZE, SESSION_TTL_DEFAULT,
+                       Account, IdentityService, SessionToken, check_id)
 from .ledger import DEFAULT_DIFFICULTY_BITS, Chain, load_chain
 from .licensing import License, consumer_fingerprint
 from .storage import (DEFAULT_CHUNK_SIZE, DEFAULT_REPLICATION, FileManifest,
@@ -151,8 +152,8 @@ class StateDirectory:
         return self.root / "accounts"
 
     @property
-    def sessions_path(self) -> Path:
-        return self.accounts_dir / "sessions.json"
+    def session_key_path(self) -> Path:
+        return self.root / "session.key"
 
     @property
     def hosts_dir(self) -> Path:
@@ -192,7 +193,10 @@ class StateDirectory:
                           self.licenses_dir, self.secrets_dir, self.keys_dir):
             directory.mkdir(exist_ok=True)
         _write(self.config_path, config.to_text().encode("utf-8"))
-        if not self.roster_path.is_file():  # a second init keeps the hosts
+        # A second init keeps the key, and so every token issued, and the hosts.
+        if not self.session_key_path.is_file():
+            _write(self.session_key_path, os.urandom(SESSION_KEY_SIZE))
+        if not self.roster_path.is_file():
             self.save_roster(StorageNetwork.with_hosts(config.host_count))
 
     def require(self):
@@ -223,21 +227,11 @@ class StateDirectory:
         _write_json(self.accounts_dir / f"{account.id}.json", account.to_json())
 
     def load_accounts(self) -> list[Account]:
-        accounts = []
-        for path in sorted(self.accounts_dir.glob("*.json")):
-            if path.name == "sessions.json":
-                continue
-            accounts.append(_load(path, lambda data: Account.from_json(_json(data))))
-        return accounts
+        return [_load(path, lambda data: Account.from_json(_json(data)))
+                for path in sorted(self.accounts_dir.glob("*.json"))]
 
-    def save_sessions(self, sessions: list[SessionToken]):
-        _write_json(self.sessions_path, [session.to_json() for session in sessions])
-
-    def load_sessions(self) -> list[SessionToken]:
-        if not self.sessions_path.is_file():
-            return []
-        return _load(self.sessions_path, lambda data: [
-            SessionToken.from_json(item) for item in _json(data)])
+    def load_session_key(self) -> bytes:
+        return _load(self.session_key_path, _decode_session_key)
 
     # -- storage network --------------------------------------------------------
 
@@ -379,6 +373,12 @@ def _json(data: bytes):
     return json.loads(data.decode("utf-8"))
 
 
+def _decode_session_key(data: bytes) -> bytes:
+    if len(data) != SESSION_KEY_SIZE:
+        raise ValueError(f"session key is {len(data)} bytes, not {SESSION_KEY_SIZE}")
+    return data
+
+
 def _decode_keypair(payload: dict) -> KeyPair:
     return KeyPair(public_key=b64u_decode(payload["public_key"]),
                    private_key=b64u_decode(payload["private_key"]))
@@ -398,7 +398,11 @@ def _decode_license(name: str, payload: dict) -> License:
         # Lookups trust the name, so a record filed under another name
         # (say, another consumer's fingerprint) is refused.
         raise ValueError(f"license file {name} does not match its record")
-    license.uses_consumed = int(payload["uses_consumed"])
+    uses, max_uses = payload["uses_consumed"], license.key_rules.max_uses
+    # Only redeem_license moves the counter: from 0, by one, up to max_uses.
+    if type(uses) is not int or uses < 0 or (max_uses is not None and uses > max_uses):
+        raise ValueError(f"license use counter {uses!r} is out of range")
+    license.uses_consumed = uses
     return license
 
 
@@ -415,14 +419,13 @@ class World:
 
 def load_identity(state: StateDirectory, config: Config,
                   clock: Callable[[], float]) -> IdentityService:
-    """The accounts and sessions: all of the state that ``serve`` reads."""
+    """The accounts and the session key: all of the state that ``serve`` reads."""
     identity = IdentityService(clock=lambda: int(clock()),
                                challenge_ttl=config.challenge_ttl,
-                               session_ttl=config.session_ttl)
+                               session_ttl=config.session_ttl,
+                               session_key=state.load_session_key())
     for account in state.load_accounts():
         identity.restore_account(account)
-    for session in state.load_sessions():
-        identity.restore_session(session)
     return identity
 
 
@@ -443,7 +446,6 @@ def save_world(world: World):
     one writer for what they changed instead."""
     for account in world.identity.accounts():
         world.state.save_account(account)
-    world.state.save_sessions(world.identity.sessions())
     world.state.save_roster(world.network)
     world.state.save_fragments(world.network)
     for manifest in world.network.manifests():

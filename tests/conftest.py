@@ -58,7 +58,7 @@ def clock():
 _PAST_NS = 1_000_000_000 * 10**9  # 2001-09-09: older than any file a test writes
 
 
-def _file_stats(root) -> dict[str, tuple[int, int, int]]:
+def file_stats(root) -> dict[str, tuple[int, int, int]]:
     stats = {}
     for path in root.rglob("*"):
         if path.is_file():
@@ -77,10 +77,10 @@ def files_written(root, *args) -> set[str]:
     for path in root.rglob("*"):
         if path.is_file():
             os.utime(path, ns=(_PAST_NS, _PAST_NS))
-    before = _file_stats(root)
+    before = file_stats(root)
     result = CliRunner().invoke(main, ["--state", str(root), *args],
                                 catch_exceptions=False)
     assert result.exit_code == 0, result.output
-    after = _file_stats(root)
+    after = file_stats(root)
     return {path for path in before.keys() | after.keys()
             if before.get(path) != after.get(path)}

@@ -20,12 +20,12 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
-from conftest import files_written
+from conftest import file_stats, files_written
 
 from skyvault.cli import main
 from skyvault.crypto import Envelope, derive_credential, generate_keypair
 from skyvault.hls import read_package, unpackage
-from skyvault.identity import solve_challenge
+from skyvault.identity import SessionToken, solve_challenge
 from skyvault.ledger import load_chain
 from skyvault.state import Config, StateDirectory, load_world
 from skyvault.storage import SkyLink
@@ -160,14 +160,14 @@ class TestErrors:
                      "--password", PASSWORD, expect=1)
         assert stderr_json(result)["error"] == "duplicate_id"
 
-    @pytest.mark.parametrize("bad_id", ["../../escaped", "sessions"])
+    @pytest.mark.parametrize("bad_id", ["../../escaped"])
     def test_register_unsafe_id_refused(self, runner, root, tmp_path, bad_id):
         run(runner, root, "init")
         result = run(runner, root, "register", bad_id, "--password", PASSWORD,
                      expect=1)
         assert stderr_json(result)["error"] == "bad_identifier"
         assert not list(tmp_path.rglob("escaped*"))
-        assert not (root / "accounts" / "sessions.json").exists()
+        assert not list((root / "accounts").iterdir())
         assert not list((root / "keys").iterdir())
 
     def test_keystore_ids_checked(self, runner, root, tmp_path):
@@ -205,15 +205,32 @@ class TestDamagedState:
         assert error["error"] == "state_missing"
         assert "roster.json" in error["message"]
 
-    def test_torn_sessions(self, runner, root):
+    @pytest.mark.parametrize("damage, code", [
+        (lambda key: key.write_bytes(key.read_bytes()[:20]), "state_corrupt"),
+        (lambda key: key.unlink(), "state_missing")], ids=["torn", "missing"])
+    def test_damaged_session_key(self, runner, root, damage, code):
         run(runner, root, "init")
         run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
+        damage(root / "session.key")
+        error = stderr_json(run(runner, root, "login", "alice-consumer",
+                                "--password", PASSWORD, expect=1))
+        assert error["error"] == code
+        assert "session.key" in error["message"]
+        assert not (root / "session.json").exists()
+
+    def test_license_counter_out_of_range(self, runner, root, tmp_path):
+        # Edited to -3, a --max-uses 1 license once allowed four plays.
+        _, skylink = bootstrap(runner, root, tmp_path, size=20_000)
         run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
-        sessions = root / "accounts" / "sessions.json"
-        sessions.write_bytes(sessions.read_bytes()[:20])
-        error = stderr_json(run(runner, root, "host", "list", expect=1))
+        run(runner, root, "buy", skylink, "--max-uses", "1")
+        [path] = (root / "licenses").iterdir()
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "uses_consumed": -3}))
+        result = run(runner, root, "play", skylink, str(tmp_path / "o.bin"), expect=1)
+        error = stderr_json(result)
         assert error["error"] == "state_corrupt"
-        assert "sessions.json" in error["message"]
+        assert path.name in error["message"]
+        assert not (tmp_path / "o.bin").exists()
 
     def test_stray_fragment_name(self, runner, root):
         run(runner, root, "init")
@@ -398,7 +415,7 @@ class TestWriteSets:
 
     def test_login(self, root, bought):
         assert files_written(root, "login", "studio-prime", "--password",
-                             PASSWORD) == {"accounts/sessions.json", "session.json"}
+                             PASSWORD) == {"session.json"}
 
     def test_publish(self, root, bought):
         assert files_written(root, "publish", bought.other, "--title", "Second",
@@ -442,7 +459,12 @@ class TestWriteSets:
                                  for path in fragments)
 
     def test_init(self, root):
-        assert files_written(root, "init") == {"config", "hosts/roster.json"}
+        assert files_written(root, "init") == {"config", "session.key", "hosts/roster.json"}
+
+    def test_init_again(self, runner, root, bought):
+        # The session key and the hosts stay, and so does every login.
+        assert files_written(root, "init") == {"config"}
+        run(runner, root, "buy", bought.skylink)
 
     @pytest.mark.parametrize("command", [["host", "list"], ["verify-chain"],
                                          ["download", "--as", "studio-prime"]])
@@ -751,6 +773,15 @@ def _serving(root):
                 raise
 
 
+def _http_login(url: str, id: str, keypair) -> dict:
+    """Log ID in over HTTP; returns the session's JSON."""
+    begin = _post(url + "/auth/begin", {"id": id})
+    response = solve_challenge(Envelope.from_bytes(b64u_decode(begin["sealed_nonce"])),
+                               keypair.private_key, derive_credential(id, PASSWORD).verifier)
+    return _post(url + "/auth/complete", {"challenge_id": begin["challenge_id"],
+                                          "response": b64u(response.value)})
+
+
 def _peak_rss_kib(pid: int) -> int:
     for line in Path(f"/proc/{pid}/status").read_text().splitlines():
         if line.startswith("VmHWM:"):
@@ -774,10 +805,20 @@ class TestServe:
             run(runner, root, "host", "fail", "h1")
         assert proc.returncode == 0, proc.stderr.read()
         assert "h1\tdown" in run(runner, root, "host", "list").output
-        owners = {session.account_id for session in state.load_sessions()}
-        assert owners == {"carol-viewer", "alice-consumer"}
-        assert state.load_login().token in {s.token for s in state.load_sessions()}
+        assert load_world(root).identity.validate_session(
+            state.load_login().token) == "alice-consumer"
         assert [a.id for a in state.load_accounts()] == ["alice-consumer", "carol-viewer"]
+
+    def test_token_outlives_a_killed_server(self, runner, root, tmp_path):
+        _, skylink = bootstrap(runner, root, tmp_path, size=20_000)
+        keypair = StateDirectory(root).load_keypair("alice-consumer")
+        with _serving(root) as (proc, url):
+            session = _http_login(url, "alice-consumer", keypair)
+            proc.kill()
+            proc.wait(timeout=10)
+        StateDirectory(root).save_login(SessionToken.from_json(session))
+        result = run(runner, root, "buy", skylink)
+        assert "committed in block 0" in result.output
 
     def test_register_refuses_an_id_taken_since_start(self, runner, root):
         run(runner, root, "init")
@@ -812,7 +853,7 @@ class TestServe:
         assert f"127.0.0.1:{port}" in payload["message"]
 
     def test_memory_does_not_grow_with_stored_bytes(self, runner, tmp_path):
-        # serve reads accounts and sessions only, never the fragments.
+        # serve reads the accounts and the session key only, never the fragments.
         peaks = []
         for stored in (0, 8 << 20):
             root = tmp_path / f"state-{stored}"
@@ -839,14 +880,8 @@ class TestServe:
         assert state.load_accounts()[0].public_key == keypair.public_key
 
         # A login writes nothing while the server runs.
-        begin = _post(url + "/auth/begin", {"id": "carol-viewer"})
-        response = solve_challenge(
-            Envelope.from_bytes(b64u_decode(begin["sealed_nonce"])),
-            keypair.private_key,
-            derive_credential("carol-viewer", PASSWORD).verifier)
-        session = _post(url + "/auth/complete", {
-            "challenge_id": begin["challenge_id"],
-            "response": b64u(response.value)})
+        before = file_stats(state.root)
+        session = _http_login(url, "carol-viewer", keypair)
         assert session["account_id"] == "carol-viewer"
-        assert not state.sessions_path.exists()
+        assert file_stats(state.root) == before
         assert proc.poll() is None

@@ -15,15 +15,17 @@ exception.
 """
 
 import dataclasses
+import json
 import re
 from dataclasses import fields as dataclass_fields
 from decimal import Decimal
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skyvault.crypto import Envelope, digest, generate_keypair
-from skyvault.errors import SkyVaultError
+from skyvault.errors import InvalidToken, SkyVaultError
 from skyvault.hls import (
     Rendition,
     master_playlist,
@@ -39,6 +41,7 @@ from skyvault.ledger import (
     parse_chain,
     serialize_chain,
 )
+from skyvault.identity import IdentityService
 from skyvault.licensing import (
     ALL_ACTIONS,
     KeyRules,
@@ -47,7 +50,7 @@ from skyvault.licensing import (
     SecretBlock,
     consumer_fingerprint,
 )
-from skyvault.state import Config
+from skyvault.state import Config, _decode_license, _license_filename
 from skyvault.storage import ChunkRecord, FileManifest, SkyLink
 from skyvault.wire import b64u, b64u_decode, pack_fields, u64, unpack_fields
 
@@ -64,12 +67,12 @@ MANIFEST = FileManifest(digest(b"file"), 5000, 4096,
                         (ChunkRecord(0, digest(b"chunk 0"), ("h2",)), RECORD), ENVELOPE)
 
 
-def _license() -> License:
+def _license(rules: KeyRules = RULES) -> License:
     content_id = digest(b"content")
     license = License(
         license_id=bytes(16), consumer_id="alice-consumer",
         consumer_public_key=CONSUMER.public_key, content_id=content_id,
-        enveloped_content_key=ENVELOPE, key_rules=RULES, rights=RIGHTS,
+        enveloped_content_key=ENVELOPE, key_rules=rules, rights=RIGHTS,
         consumer_fingerprint=consumer_fingerprint("alice-consumer", content_id),
         issued_at=NOW, license_hash=digest(b""))
     license.license_hash = license.compute_hash()
@@ -236,10 +239,52 @@ def test_license(data):
     round_trips(License.from_canonical_bytes, License.canonical_bytes, data)
 
 
+def _license_file(license: License, uses) -> str:
+    return json.dumps({"license": license.canonical_bytes().hex(), "uses_consumed": uses})
+
+
+@PROPERTY
+@example(LICENSE, -3)  # allowed four plays of a --max-uses 1 license
+@example(LICENSE, True)
+@example(LICENSE, 6)
+@given(st.sampled_from([LICENSE, _license(KeyRules(NOW, NOW + 86_400))]),
+       st.one_of(st.integers(-3, 8), st.sampled_from([True, False, 5.0, "1", None, 2**64])))
+def test_license_use_counter(license, uses):
+    # Only redeem_license moves the counter: from 0, by one, up to max_uses.
+    max_uses = license.key_rules.max_uses
+    writable = type(uses) is int and uses >= 0 and (max_uses is None or uses <= max_uses)
+    text = _license_file(license, uses)
+    try:
+        decoded = _decode_license(_license_filename(license), json.loads(text))
+    except (ValueError, SkyVaultError):
+        assert not writable
+        return
+    assert writable and _license_file(decoded, decoded.uses_consumed) == text
+
+
 @PROPERTY
 @given(variants(SECRET.to_bytes()))
 def test_secret_block(data):
     round_trips(SecretBlock.from_bytes, SecretBlock.to_bytes, data)
+
+
+SESSIONS = IdentityService(clock=lambda: NOW, session_key=bytes(range(32)))
+SESSIONS.register("alice-consumer", "sturdy password", CONSUMER.public_key)
+_CHALLENGE = SESSIONS.begin_auth("alice-consumer")
+TOKEN = SESSIONS.complete_auth(_CHALLENGE.challenge_id, digest(
+    _CHALLENGE.nonce + SESSIONS.get_account("alice-consumer").verifier.value)).token
+
+
+@PROPERTY
+@given(st.one_of(edits(TOKEN), st.binary(min_size=56, max_size=130)))
+def test_session_token(data):
+    # Only the minted token validates; anything else is InvalidToken,
+    # never another exception.
+    if data == TOKEN:
+        assert SESSIONS.validate_session(data) == "alice-consumer"
+    else:
+        with pytest.raises(InvalidToken):
+            SESSIONS.validate_session(data)
 
 
 # -- text ---------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -23,6 +26,8 @@ from skyvault.identity import (
     SessionToken,
     solve_challenge,
 )
+from skyvault.licensing import auth_info_digest
+from skyvault.state import Config, StateDirectory, load_identity
 
 # openssl: {printf hunter2abc; printf alice | openssl dgst -sha256 -binary} | dgst -sha256
 VERIFIER_ALICE_HUNTER2ABC = "f42a7c49db907876a9b62279ec61e0d9a96d0658ac31993ed8c2b4b5d22a908d"
@@ -67,7 +72,7 @@ class TestRegister:
 
     @pytest.mark.parametrize("bad_id", [
         "", "../../escaped", "a/b", "a\\b", "..", ".hidden", "-flag", "_x",
-        "sessions", "x" * 65, "alice\n", "al ice", "caf\u00e9", "a\x00b"])
+        "x" * 65, "alice\n", "al ice", "caf\u00e9", "a\x00b"])
     def test_unsafe_id_rejected(self, service, alice, bad_id):
         # Ids become file names under accounts/ and keys/.
         with pytest.raises(BadIdentifier) as caught:
@@ -76,7 +81,7 @@ class TestRegister:
         assert service.accounts() == []
 
     @pytest.mark.parametrize("good_id", [
-        "a", "alice", "9lives", "user-007", "a.b_c-D9", "sessions2", "x" * 64])
+        "a", "alice", "9lives", "user-007", "a.b_c-D9", "sessions", "sessions2", "x" * 64])
     def test_file_name_safe_id_accepted(self, service, alice, good_id):
         assert service.register(good_id, "hunter2abc", alice.public_key).id == good_id
 
@@ -223,14 +228,97 @@ class TestSessions:
         with pytest.raises(Expired):
             service.validate_session(session.token)
 
-    def test_expired_sessions_swept(self, service, alice, clock):
+    def test_valid_through_expires_at(self, service, alice, clock):
         service.register("alice", "hunter2abc", alice.public_key)
-        for _ in range(2000):
-            login(service, "alice", alice, "hunter2abc")
-        clock.advance(SESSION_TTL_DEFAULT + 1)
-        live = login(service, "alice", alice, "hunter2abc")
-        assert list(service._sessions) == [live.token]
-        assert service.validate_session(live.token) == "alice"
+        session = login(service, "alice", alice, "hunter2abc")
+        clock.advance(session.expires_at - clock.now)
+        assert service.validate_session(session.token) == "alice"
+        clock.advance(1)
+        with pytest.raises(Expired):
+            service.validate_session(session.token)
+
+    def test_every_bit_flip_and_truncation_invalid(self, service, alice):
+        service.register("alice", "hunter2abc", alice.public_key)
+        token = login(service, "alice", alice, "hunter2abc").token
+        for bit in range(len(token) * 8):
+            flipped = bytearray(token)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(InvalidToken):
+                service.validate_session(bytes(flipped))
+        for end in range(len(token)):
+            with pytest.raises(InvalidToken):
+                service.validate_session(token[:end])
+
+    def test_token_of_another_state_invalid(self, tmp_path, clock, alice):
+        services = []
+        for name in ("a", "b"):
+            state = StateDirectory(tmp_path / name)
+            state.initialize(Config())
+            services.append(load_identity(state, state.load_config(), clock))
+            services[-1].register("alice", "hunter2abc", alice.public_key)
+        token = login(services[0], "alice", alice, "hunter2abc").token
+        assert services[0].validate_session(token) == "alice"
+        with pytest.raises(InvalidToken):
+            services[1].validate_session(token)
+
+    def test_logins_in_one_second_distinct(self, service, alice):
+        service.register("alice", "hunter2abc", alice.public_key)
+        first, second = (login(service, "alice", alice, "hunter2abc") for _ in range(2))
+        assert first.expires_at == second.expires_at  # the clock did not move
+        assert first.token != second.token
+        assert auth_info_digest(first, "alice") != auth_info_digest(second, "alice")
+
+    def test_concurrent_logins_validate(self, service, alice):
+        # Every token's tag is hashed from a copy of one keyed HMAC.
+        service.register("alice", "hunter2abc", alice.public_key)
+        tokens, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(200):
+                    token = login(service, "alice", alice, "hunter2abc").token
+                    assert service.validate_session(token) == "alice"
+                    tokens.append(token)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(set(tokens)) == 800
+
+    def test_expiry_past_u64_clamped(self, alice, clock):
+        service = IdentityService(clock=clock, session_ttl=2**70)
+        service.register("alice", "hunter2abc", alice.public_key)
+        session = login(service, "alice", alice, "hunter2abc")
+        assert session.expires_at == 2**64 - 1
+        assert service.validate_session(session.token) == "alice"
+
+    def test_logins_hold_no_memory(self, service, alice):
+        # No session is kept: 20,000 logins at ~310 B per kept session
+        # would hold about 6 MiB.
+        service.register("alice", "hunter2abc", alice.public_key)
+        verifier = digest_of_credential("alice", "hunter2abc")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20_000):
+                challenge = service.begin_auth("alice")
+                service.complete_auth(challenge.challenge_id,
+                                      digest(challenge.nonce + verifier.value))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20, grown
 
 
 class TestPersistenceFormats:
@@ -243,10 +331,13 @@ class TestPersistenceFormats:
         session = login(service, "alice", alice, "hunter2abc")
         assert SessionToken.from_json(session.to_json()) == session
 
-    def test_restore_round_trip(self, service, alice, clock):
+    def test_restore_round_trip(self, alice, clock):
+        # A reloaded service needs the key, and no table, to accept a token.
+        key = os.urandom(32)
+        service = IdentityService(clock=clock, session_key=key)
         account = service.register("alice", "hunter2abc", alice.public_key)
         session = login(service, "alice", alice, "hunter2abc")
-        reloaded = IdentityService(clock=clock)
+        reloaded = IdentityService(clock=clock, session_key=key)
         reloaded.restore_account(Account.from_json(account.to_json()))
-        reloaded.restore_session(SessionToken.from_json(session.to_json()))
-        assert reloaded.validate_session(session.token) == "alice"
+        token = SessionToken.from_json(session.to_json()).token
+        assert reloaded.validate_session(token) == "alice"

@@ -76,7 +76,7 @@ class TestEndpoints:
         assert status == 400
         assert body["error"] == "weak_password"
 
-    @pytest.mark.parametrize("bad_id", ["../../escaped", "a/b", "sessions"])
+    @pytest.mark.parametrize("bad_id", ["../../escaped", "a/b"])
     def test_unsafe_id_400(self, server, bad_id):
         status, body, _ = register(server, id=bad_id)
         assert status == 400

@@ -7,7 +7,8 @@ from skyvault.errors import (
     AlreadyPublished,
     BadConfig,
     BadIdentifier,
-    InvalidToken,
+    Expired,
+    StateCorrupt,
     StateMissing,
     UnknownLicense,
 )
@@ -80,7 +81,7 @@ class TestStateDirectory:
             keypair.public_key
         assert reloaded.identity.validate_session(session.token) == "alice-consumer"
 
-    def test_expired_sessions_not_persisted(self, state, clock):
+    def test_tokens_outlive_a_reload(self, state, clock):
         world = load_world(state.root, clock=clock)
 
         def login(id):
@@ -98,11 +99,18 @@ class TestStateDirectory:
         clock.advance(700)  # past alice's 3600-s session, inside bob's
         save_world(world)
 
-        assert [s.token for s in state.load_sessions()] == [bob]
+        assert not list(state.accounts_dir.glob("sessions*"))
         reloaded = load_world(state.root, clock=clock)
         assert reloaded.identity.validate_session(bob) == "bob-consumer"
-        with pytest.raises(InvalidToken):
+        with pytest.raises(Expired):
             reloaded.identity.validate_session(alice)
+
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_session_key_must_be_32_bytes(self, state, size):
+        assert len(state.session_key_path.read_bytes()) == 32
+        state.session_key_path.write_bytes(bytes(size))
+        with pytest.raises(StateCorrupt, match="session.key"):
+            load_world(state.root)
 
     def test_escaping_account_id_never_saved(self, state, tmp_path):
         # accounts/<id>.json: "../../escaped" would land two levels above
@@ -219,7 +227,7 @@ class TestStateDirectory:
         assert state.catalog_path.read_bytes() == catalog
         assert state.find_catalog_entry(link.text)["provider_id"] == "studio-prime"
 
-    @pytest.mark.parametrize("bad_id", ["../accounts/alice-consumer", "sessions"])
+    @pytest.mark.parametrize("bad_id", ["../accounts/alice-consumer"])
     def test_keystore_refuses_unsafe_ids(self, state, bad_id):
         with pytest.raises(BadIdentifier):
             state.save_keypair(bad_id, generate_keypair())
