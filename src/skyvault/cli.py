@@ -147,13 +147,10 @@ def _login(world):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--as", "as_id", default=None,
-              help="Uploader account (default: current login).")
 @with_world
-def upload(world, file, as_id):
+def upload(world, file):
     """Chunk, encrypt, and replicate FILE across the storage hosts."""
-    uploader_id = as_id or _login(world)[1]
-    keypair = world.state.load_keypair(uploader_id)
+    keypair = world.state.load_keypair(_login(world)[1])
     with open(file, "rb") as handle:
         data = handle.read()
     link, manifest = storage_upload(data, world.network, keypair,
@@ -166,13 +163,10 @@ def upload(world, file, as_id):
 @main.command()
 @click.argument("skylink")
 @click.argument("out", type=click.Path(dir_okay=False))
-@click.option("--as", "as_id", default=None,
-              help="Requesting account (default: current login).")
 @with_world
-def download(world, skylink, out, as_id):
+def download(world, skylink, out):
     """Fetch SKYLINK with your own key and write the plaintext to OUT."""
-    requester_id = as_id or _login(world)[1]
-    keypair = world.state.load_keypair(requester_id)
+    keypair = world.state.load_keypair(_login(world)[1])
     data = storage_download(SkyLink(skylink), world.network, keypair.private_key)
     with _open_out(out) as handle:
         handle.write(data)
@@ -182,13 +176,11 @@ def download(world, skylink, out, as_id):
 @main.command()
 @click.argument("skylink")
 @click.option("--title", required=True, help="Catalog title for the content.")
-@click.option("--as", "as_id", default=None,
-              help="Provider account (default: current login).")
 @with_world
-def publish(world, skylink, title, as_id):
+def publish(world, skylink, title):
     """List your uploaded content, once, in the catalog so consumers can
     buy it; only the uploader's key opens the content key."""
-    provider_id = as_id or _login(world)[1]
+    _, provider_id = _login(world)
     link = SkyLink(skylink)
     open_file_key(world.network.lookup(link),
                   world.state.load_keypair(provider_id).private_key)

@@ -35,10 +35,11 @@ calls only the writers for what it changed:
 Every writer goes through ``_write``, which writes ``.<name>.tmp`` beside
 the file and renames it over the file with ``os.replace``: a command
 killed mid-write leaves the old file or the new one, and no loader reads
-a leftover temporary file. A fragment file is written only when it does
-not exist yet, as it is named by the digest of its bytes. The chain file
-is only appended to. ``save_world`` is the bulk save for a world built
-through the library; no command calls it.
+a leftover temporary file. Each file is mode 0600 whatever the umask,
+as keys, the session key and the login are secrets. A fragment file is
+written only when it does not exist yet, as it is named by the digest of
+its bytes. The chain file is only appended to. ``save_world`` is the
+bulk save for a world built through the library; no command calls it.
 
 Commands on one state run one at a time: each holds
 ``StateDirectory.locked`` from before it loads until after it writes.
@@ -341,15 +342,15 @@ class StateDirectory:
             return None
         return _load(self.session_path, lambda data: SessionToken.from_json(_json(data)))
 
-    def clear_login(self):
-        if self.session_path.is_file():
-            self.session_path.unlink()
-
 
 def _write(path: Path, data: bytes):
-    """The one way a state file reaches disk: whole, or not at all."""
+    """The one way a state file reaches disk: whole, or not at all, and
+    readable by its owner only."""
     temp = path.with_name(f".{path.name}.tmp")
-    temp.write_bytes(data)
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "wb") as handle:
+        os.fchmod(fd, 0o600)  # also a temp file that a killed write left
+        handle.write(data)
     os.replace(temp, path)
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .crypto import Digest, Envelope, KeyPair, digest, open_envelope, seal, sym_decrypt, sym_encrypt
 from .errors import (
     AllReplicasDown,
-    AuthFailed,
     BadChunkSize,
     EmptyFile,
     HostDown,
@@ -287,6 +286,8 @@ def download_with_key(link: SkyLink, network: StorageNetwork, file_key: bytes) -
 
     Each chunk is fetched from any live replica whose fragment passes the
     digest check; corrupt or unreachable replicas fail over to the next.
+    A digest-checked fragment is decrypted once: a wrong key raises
+    ``AuthFailed`` and names no host.
     """
     manifest = network.lookup(link)
     parts = []
@@ -317,12 +318,7 @@ def _fetch_chunk(network: StorageNetwork, record: ChunkRecord, file_key: bytes) 
             if corrupt_host is None:
                 corrupt_host = host_id
             continue
-        try:
-            return sym_decrypt(file_key, chunk_nonce(record.index), fragment)
-        except AuthFailed:
-            if corrupt_host is None:
-                corrupt_host = host_id
-            continue
+        return sym_decrypt(file_key, chunk_nonce(record.index), fragment)
     if corrupt_host is not None:
         raise IntegrityFailure(
             f"chunk {record.index} corrupt on every reachable replica "

@@ -393,11 +393,13 @@ def test_criterion_10_cold_restart_determinism(tmp_path):
     assert verify.returncode == 0, verify.stderr
     assert verify.stdout.strip() == "ok"
 
+    cold("login", "studio-prime", "--password", password)
     for i, (skylink, data) in enumerate(files.items()):
         out = tmp_path / f"cold-{i}.bin"
-        fetched = cold("download", skylink, str(out), "--as", "studio-prime")
+        fetched = cold("download", skylink, str(out))
         assert fetched.returncode == 0, fetched.stderr
         assert out.read_bytes() == data
+    cold("login", "alice-consumer", "--password", password)
     for i, skylink in enumerate(purchased):
         out = tmp_path / f"cold-play-{i}.bin"
         played = cold("play", skylink, str(out))

@@ -7,8 +7,10 @@ import json
 import os
 import re
 import select
+import shlex
 import shutil
 import socket
+import stat
 import subprocess
 import sys
 import time
@@ -18,6 +20,7 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from types import SimpleNamespace
 
+import click
 import pytest
 from click.testing import CliRunner
 from conftest import file_stats, files_written
@@ -176,9 +179,6 @@ class TestErrors:
         result = run(runner, root, "login", bad_id, "--password", PASSWORD,
                      expect=1)
         assert stderr_json(result)["error"] == "bad_identifier"
-        result = run(runner, root, "upload", str(tmp_path / "feature.bin"),
-                     "--as", bad_id, expect=1)
-        assert stderr_json(result)["error"] == "bad_identifier"
 
     def test_wrong_password_login(self, runner, root):
         run(runner, root, "init")
@@ -245,13 +245,12 @@ class TestPublish:
     def test_only_the_uploader_lists_a_skylink_once(self, runner, root, tmp_path):
         media, skylink = bootstrap(runner, root, tmp_path)
         catalog = (root / "catalog.json").read_bytes()
-        result = run(runner, root, "publish", skylink, "--title", "Knock-off",
-                     "--as", "alice-consumer", expect=1)
-        assert stderr_json(result)["error"] == "key_access_denied"
         result = run(runner, root, "publish", skylink, "--title", "Again", expect=1)
         assert stderr_json(result)["error"] == "already_published"
-        assert (root / "catalog.json").read_bytes() == catalog
         run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        result = run(runner, root, "publish", skylink, "--title", "Knock-off", expect=1)
+        assert stderr_json(result)["error"] == "key_access_denied"
+        assert (root / "catalog.json").read_bytes() == catalog
         run(runner, root, "buy", skylink)
         run(runner, root, "play", skylink, str(tmp_path / "played.bin"))
         assert (tmp_path / "played.bin").read_bytes() == media
@@ -417,9 +416,10 @@ class TestWriteSets:
         assert files_written(root, "login", "studio-prime", "--password",
                              PASSWORD) == {"session.json"}
 
-    def test_publish(self, root, bought):
-        assert files_written(root, "publish", bought.other, "--title", "Second",
-                             "--as", "studio-prime") == {"catalog.json"}
+    def test_publish(self, runner, root, bought):
+        run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+        assert files_written(root, "publish", bought.other,
+                             "--title", "Second") == {"catalog.json"}
 
     def test_buy(self, root, bought):
         held = {f"licenses/{name}" for name in os.listdir(root / "licenses")}
@@ -436,10 +436,11 @@ class TestWriteSets:
 
     @pytest.mark.parametrize("command", [["host", "fail", "h1"],
                                          ["host", "revive", "h1"],
-                                         ["upload", "--as", "studio-prime"]])
+                                         ["upload"]])
     def test_network_commands_keep_fragments_and_accounts(self, runner, root, bought,
                                                           tmp_path, command):
         if command[0] == "upload":
+            run(runner, root, "login", "studio-prime", "--password", PASSWORD)
             media = tmp_path / "third.bin"
             media.write_bytes(os.urandom(50_000))
             command = [*command, str(media)]
@@ -467,11 +468,83 @@ class TestWriteSets:
         run(runner, root, "buy", bought.skylink)
 
     @pytest.mark.parametrize("command", [["host", "list"], ["verify-chain"],
-                                         ["download", "--as", "studio-prime"]])
-    def test_reading_commands_write_nothing(self, root, bought, tmp_path, command):
+                                         ["download"]])
+    def test_reading_commands_write_nothing(self, runner, root, bought, tmp_path,
+                                            command):
         if command[0] == "download":
+            run(runner, root, "login", "studio-prime", "--password", PASSWORD)
             command = [*command, bought.skylink, str(tmp_path / "out.bin")]
         assert files_written(root, *command) == set()
+
+
+class TestActingAccount:
+    """upload, download and publish act as the stored login, and only as it."""
+
+    COMMANDS = {
+        "upload": ["upload", "{media}"],
+        "download": ["download", "{skylink}", "{out}"],
+        "publish": ["publish", "{other}", "--title", "Second"],
+    }
+
+    def _args(self, command, bought, tmp_path):
+        media = tmp_path / "media.bin"
+        media.write_bytes(os.urandom(5000))
+        return [arg.format(media=media, skylink=bought.skylink, other=bought.other,
+                           out=tmp_path / "out.bin") for arg in self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_as_is_a_usage_error(self, runner, root, bought, tmp_path, command):
+        args = self._args(command, bought, tmp_path)
+        result = run(runner, root, *args, "--as", "studio-prime", expect=2)
+        assert "--as" in result.stderr_bytes.decode()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_refused_without_login(self, runner, root, bought, tmp_path, command):
+        args = self._args(command, bought, tmp_path)
+        (root / "session.json").unlink()
+        before = file_stats(root)
+        result = run(runner, root, *args, expect=1)
+        assert stderr_json(result)["error"] == "not_authenticated"
+        assert file_stats(root) == before
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_upload_is_the_logins(self, runner, root, bought, tmp_path):
+        # alice-consumer is logged in, so only that account's key opens the upload.
+        media = tmp_path / "own.bin"
+        media.write_bytes(os.urandom(5000))
+        own = run(runner, root, "upload", str(media)).output.split("Skylink: ")[1].strip()
+        run(runner, root, "publish", own, "--title", "Home Video")
+        assert StateDirectory(root).find_catalog_entry(own)["provider_id"] == "alice-consumer"
+        run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+        result = run(runner, root, "download", own, str(tmp_path / "x.bin"), expect=1)
+        assert stderr_json(result)["error"] == "key_access_denied"
+
+    def test_option_count(self):
+        def options(command):
+            return (sum(isinstance(param, click.Option) for param in command.params)
+                    + sum(options(sub) for sub in getattr(command, "commands", {}).values()))
+        assert options(main) == 19
+
+
+class TestFileModes:
+    def test_state_files_are_owner_only(self, runner, root):
+        # Keys, the session key and the login stay secret under umask 022,
+        # and a 0644 temp file that a killed write left passes on no mode.
+        umask = os.umask(0o022)
+        try:
+            run(runner, root, "init")
+            run(runner, root, "register", "alice-consumer", "--password", PASSWORD)
+            stale = root / ".session.json.tmp"
+            stale.write_bytes(b"x" * 10_000)
+            stale.chmod(0o644)
+            run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        finally:
+            os.umask(umask)
+        modes = {str(path.relative_to(root)): stat.S_IMODE(path.stat().st_mode)
+                 for path in root.rglob("*") if path.is_file() and path.name != "lock"}
+        assert {"session.key", "keys/alice-consumer.json", "session.json"} <= modes.keys()
+        assert set(modes.values()) == {0o600}, modes
+        assert StateDirectory(root).load_login().account_id == "alice-consumer"
 
 
 class Killed(BaseException):
@@ -479,16 +552,17 @@ class Killed(BaseException):
 
 
 def _tear_write(monkeypatch, k: int):
-    """Make the K-th state-file write (from 0) store only the first half
-    of its bytes, then end the command with ``Killed``."""
+    """Make the K-th state-file write (from 0) leave only the first half
+    of its bytes in its temporary file, then end the command with
+    ``Killed`` before the file is renamed into place."""
     writes = itertools.count()
-    for name in ("write_bytes", "write_text"):
-        def torn(path, data, *args, _write=getattr(Path, name), **kwargs):
-            if next(writes) == k:
-                _write(path, data[:len(data) // 2], *args, **kwargs)
-                raise Killed
-            return _write(path, data, *args, **kwargs)
-        monkeypatch.setattr(Path, name, torn)
+
+    def torn(temp, path, _replace=os.replace):
+        if next(writes) == k:
+            os.truncate(temp, os.path.getsize(temp) // 2)
+            raise Killed
+        return _replace(temp, path)
+    monkeypatch.setattr(os, "replace", torn)
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +587,7 @@ class TestKilledMidWrite:
         "register": ["register", "carol-viewer", "--password", PASSWORD],
         "login": ["login", "alice-consumer", "--password", PASSWORD],
         "play": ["play", "{skylink}", "{out}"],
-        "upload": ["upload", "--as", "studio-prime", "{small}"],
+        "upload": ["upload", "{small}"],
         "buy": ["buy", "{skylink}"],
         "host fail": ["host", "fail", "h0"],
     }
@@ -527,6 +601,8 @@ class TestKilledMidWrite:
         args = [arg.format(skylink=purchased.skylink, small=purchased.small,
                            out=tmp_path / "killed.bin")
                 for arg in self.COMMANDS[command]]
+        if command == "upload":  # as the provider; alice-consumer plays below
+            run(runner, root, "login", "studio-prime", "--password", PASSWORD)
         with monkeypatch.context() as patch:
             _tear_write(patch, k)
             try:
@@ -534,14 +610,16 @@ class TestKilledMidWrite:
                               catch_exceptions=False)
             except Killed:
                 pass
+        if command == "upload":
+            run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
 
         load_world(root)
         assert run(runner, root, "verify-chain").output.strip() == "ok"
         run(runner, root, "host", "list")
         run(runner, root, "play", purchased.skylink, str(tmp_path / "played.bin"))
         assert (tmp_path / "played.bin").read_bytes() == purchased.media
-        run(runner, root, "download", purchased.skylink, str(tmp_path / "got.bin"),
-            "--as", "studio-prime")
+        run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+        run(runner, root, "download", purchased.skylink, str(tmp_path / "got.bin"))
         assert (tmp_path / "got.bin").read_bytes() == purchased.media
         for path in root.glob("hosts/*/[0-9a-f]*"):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == path.name
@@ -607,8 +685,7 @@ class TestBadInput:
         "bandwidth zero": (["hls-package", "{media}", "{tmp}/hls",
                             "--bandwidths", "800000,0"], 2, "--bandwidths"),
         "download into a missing directory": (
-            ["download", "{skylink}", "{tmp}/missing/x", "--as", "studio-prime"],
-            1, "output_unwritable"),
+            ["download", "{skylink}", "{tmp}/missing/x"], 1, "output_unwritable"),
         "key-out into a missing directory": (
             ["hls-package", "{media}", "{tmp}/hls", "--key-out", "{tmp}/missing/k"],
             1, "output_unwritable"),
@@ -625,6 +702,8 @@ class TestBadInput:
         root = _copy(purchased, tmp_path)
         args = [arg.format(skylink=purchased.skylink, media=purchased.small, tmp=tmp_path)
                 for arg in argv]
+        if args[0] == "download":  # the uploader's own download
+            run(runner, root, "login", "studio-prime", "--password", PASSWORD)
         result = runner.invoke(main, ["--state", str(root), *args],
                                catch_exceptions=False)
         stderr = result.stderr_bytes.decode()
@@ -862,7 +941,8 @@ class TestServe:
                 run(runner, root, "register", "studio-prime", "--password", PASSWORD)
                 media = tmp_path / "media.bin"
                 media.write_bytes(os.urandom(stored))
-                run(runner, root, "upload", "--as", "studio-prime", str(media))
+                run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+                run(runner, root, "upload", str(media))
             with _serving(root) as (proc, url):
                 _post(url + "/register", {
                     "id": "carol-viewer", "password": PASSWORD,
@@ -885,3 +965,32 @@ class TestServe:
         assert session["account_id"] == "carol-viewer"
         assert file_stats(state.root) == before
         assert proc.poll() is None
+
+
+class TestQuickStart:
+    def test_readme_quick_start_runs(self, runner, tmp_path, monkeypatch):
+        """Every command of README's "Quick start (CLI)" block exits 0, with
+        each ``sia://...`` replaced by the skylink that ``upload`` printed."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Quick start (CLI)")[1].split("```sh\n")[1].split("```")[0]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "movie.bin").write_bytes(os.urandom(300_000))
+        env, skylink, ran = {}, None, []
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if not words:
+                continue
+            if words[0] == "export":
+                name, _, value = words[1].partition("=")
+                env[name] = value
+                continue
+            assert words[0] == "skyvault", line
+            args = [skylink if word == "sia://..." else word for word in words[1:]]
+            result = runner.invoke(main, args, env=env, catch_exceptions=False)
+            assert result.exit_code == 0, (line, result.output, result.stderr_bytes)
+            if args[0] == "upload":
+                skylink = result.output.split("Skylink: ")[1].strip()
+            ran.append(args[0])
+        assert {"init", "login", "upload", "publish", "buy", "play", "download",
+                "hls-package"} <= set(ran)
+        assert (tmp_path / "demo-state" / "config").is_file()

@@ -241,5 +241,3 @@ class TestStateDirectory:
                                expires_at=99)
         state.save_login(session)
         assert state.load_login() == session
-        state.clear_login()
-        assert state.load_login() is None

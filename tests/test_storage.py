@@ -7,6 +7,7 @@ import pytest
 from skyvault.crypto import digest, generate_keypair, open_envelope
 from skyvault.errors import (
     AllReplicasDown,
+    AuthFailed,
     BadChunkSize,
     EmptyFile,
     InsufficientHosts,
@@ -132,6 +133,14 @@ class TestUploadDownload:
         link, manifest = upload(data, network, uploader, chunk_size=1024)
         file_key = open_envelope(uploader.private_key, manifest.encrypted_file_key)
         assert download_with_key(link, network, file_key) == data
+
+    def test_wrong_file_key_blames_no_host(self, network, uploader, rng):
+        # A fragment that matches its recorded digest is the one uploaded,
+        # so a key that fails to open it is wrong; no host is at fault.
+        link, _ = upload(rng.randbytes(3000), network, uploader, chunk_size=1024)
+        with pytest.raises(AuthFailed) as err:
+            download_with_key(link, network, bytes(32))
+        assert "host_id" not in err.value.to_json()
 
 
 class TestSkylinks:
