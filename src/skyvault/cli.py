@@ -24,13 +24,14 @@ import click
 
 from .crypto import Digest, derive_credential, generate_keypair
 from .errors import (BindFailed, ChainInvalid, NotAuthenticated, OutputUnwritable,
-                     RightsDenied, SkyVaultError, UnknownLicense)
+                     RightsDenied, SkyVaultError, UnknownAction, UnknownLicense)
 from .hls import DEFAULT_KEY_URI, master_playlist, package, write_package, Rendition
 from .identity import solve_challenge
 from .ledger import append_block
 from .licensing import (
     ACTION_DOWNLOAD,
     ACTION_STREAM,
+    ALL_ACTIONS,
     KeyRules,
     Rights,
     execute_purchase,
@@ -231,6 +232,8 @@ def buy(world, skylink, valid_seconds, max_uses, actions):
 def _redeem_newest(world, keypair, consumer_id: str, content_id: Digest, action: str):
     """The newest license (by ``issued_at``, then id) that allows ACTION,
     and its key; when all deny, the newest one's reason is raised."""
+    if action not in ALL_ACTIONS:
+        raise UnknownAction(f"unknown action: {action!r}")
     licenses = sorted(world.state.load_licenses(consumer_id, content_id),
                       key=lambda lic: (lic.issued_at, lic.license_id), reverse=True)
     if not licenses:

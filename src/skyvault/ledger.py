@@ -22,8 +22,17 @@ Canonical byte layouts (field framing per :mod:`skyvault.wire`):
   verification itself never re-checks, so any bit flip on disk is
   caught either at load or by verify().
 
-Decoding recomputes tx_ids, tx_root, and block_hash and refuses records
-that do not self-agree.
+Decoding a record is two steps: a check and a build. The check refuses
+a record unless its framing is strict, each digest field is 32 bytes and
+each u64 field 8, and its tx_ids, tx_root and block_hash recompute; it
+keeps the record's fields. The build turns checked fields into a
+``Block`` and its ``Transaction``s and checks nothing more.
+``Block.from_bytes`` is both steps. Loading a chain file checks every
+record (with its length and checksum) and keeps only the checked fields,
+the height, the tip hash and the set of seen tx ids: any defect fails the
+load as ``ChainCorrupt``. The ``Block``s are built the first time
+``Chain.blocks`` is read (``verify``, ``find``, ``serialize_chain``);
+``height``, ``tip_hash``, ``submit`` and ``mine`` build none.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Callable, Optional
 
-from .crypto import Digest, KeyPair, digest, sign, verify
+from .crypto import DIGEST_SIZE, Digest, KeyPair, digest, sign, verify
 from .errors import (
     BadSignature,
     ChainCorrupt,
@@ -46,10 +56,16 @@ from .errors import (
 from .wire import framed_size, pack_fields, read_u64, u64, unpack_fields
 
 DEFAULT_DIFFICULTY_BITS = 8
+# No SHA-256 output has more leading zero bits: a higher target is never met.
+MAX_DIFFICULTY_BITS = 8 * DIGEST_SIZE
 TIMESTAMP_TOLERANCE = 900
 GENESIS_PREV_HASH = b"\x00" * 32
 
 _RECORD_CHECKSUM_SIZE = 32
+# Byte sizes of a transaction body's fields: four digests and a u64.
+_TX_BODY_SIZES = (DIGEST_SIZE,) * 4 + (8,)
+# Byte sizes of a block's tx_root, timestamp, nonce and block_hash fields.
+_BLOCK_FIELD_SIZES = (DIGEST_SIZE, 8, 8, DIGEST_SIZE)
 
 
 def leading_zero_bits(data: bytes) -> int:
@@ -80,22 +96,34 @@ class Transaction:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":
-        fields = unpack_fields(data, expected=7)
-        # The body is the record's own first five framed fields: strict
-        # framing makes those bytes the ones body_bytes() would rebuild.
-        body = data[:framed_size(fields[:5])]
-        tx = cls(
-            consumer_key_fingerprint=Digest(fields[0]),
-            provider_key_fingerprint=Digest(fields[1]),
-            content_commitment=Digest(fields[2]),
-            secret_commitment=Digest(fields[3]),
-            timestamp=read_u64(fields[4]),
-            signature=fields[5],
-            tx_id=Digest(fields[6]),
-        )
-        if digest(body) != tx.tx_id:
-            raise ValueError("transaction id does not recompute")
-        return tx
+        return _build_transaction(_check_transaction(data))
+
+
+def _check_transaction(data: bytes) -> list[bytes]:
+    """The fields of a transaction record whose framing, field sizes and
+    tx_id check out; ``ValueError`` otherwise."""
+    fields = unpack_fields(data, expected=7)
+    sizes = tuple(map(len, fields))
+    if sizes[:5] != _TX_BODY_SIZES or sizes[6] != DIGEST_SIZE:
+        raise ValueError(f"transaction field sizes {sizes} do not fit the layout")
+    # The body is the record's own first five framed fields: strict
+    # framing makes those bytes the ones body_bytes() would rebuild.
+    if sha256(data[:framed_size(fields[:5])]).digest() != fields[6]:
+        raise ValueError("transaction id does not recompute")
+    return fields
+
+
+def _build_transaction(fields: list[bytes]) -> Transaction:
+    """The transaction of fields that ``_check_transaction`` returned."""
+    return Transaction(
+        consumer_key_fingerprint=Digest(fields[0]),
+        provider_key_fingerprint=Digest(fields[1]),
+        content_commitment=Digest(fields[2]),
+        secret_commitment=Digest(fields[3]),
+        timestamp=read_u64(fields[4]),
+        signature=fields[5],
+        tx_id=Digest(fields[6]),
+    )
 
 
 def make_transaction(provider: KeyPair, consumer_public: bytes,
@@ -141,28 +169,51 @@ class Block:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Block":
-        fields = unpack_fields(data)
-        if len(fields) < 7:
-            raise ValueError("block record too short")
-        n_txs = read_u64(fields[6])
-        if len(fields) != 7 + n_txs:
-            raise ValueError("block transaction count mismatch")
-        txs = tuple(Transaction.from_bytes(blob) for blob in fields[7:])
-        block = cls(
-            height=read_u64(fields[0]),
-            prev_hash=fields[1],
-            tx_root=Digest(fields[2]),
-            timestamp=read_u64(fields[3]),
-            nonce=read_u64(fields[4]),
-            transactions=txs,
-            block_hash=Digest(fields[5]),
-        )
-        if compute_tx_root(block.tx_ids) != block.tx_root:
-            raise ValueError("block tx_root does not recompute")
-        # As for a transaction body: the header is the first five fields.
-        if digest(data[:framed_size(fields[:5])]) != block.block_hash:
-            raise ValueError("block hash does not recompute")
-        return block
+        return _build_block(_check_block(data))
+
+
+# A checked block record: its six header and hash fields, then the
+# fields of each of its transactions.
+_CheckedBlock = tuple[list[bytes], list[list[bytes]]]
+
+
+def _check_block(data: bytes) -> _CheckedBlock:
+    """The fields of a block record whose framing, field sizes, tx_ids,
+    tx_root and block hash check out; ``ValueError`` otherwise. The one
+    check of a block record, for ``Block.from_bytes`` and the loader.
+
+    It compares raw octets, so it hashes with ``sha256`` directly and
+    builds no ``Digest``."""
+    fields = unpack_fields(data)
+    if len(fields) < 7:
+        raise ValueError("block record too short")
+    n_txs = read_u64(fields[6])
+    if len(fields) != 7 + n_txs:
+        raise ValueError("block transaction count mismatch")
+    txs = [_check_transaction(blob) for blob in fields[7:]]
+    sizes = tuple(map(len, fields[:6]))
+    if sizes[0] != 8 or sizes[2:] != _BLOCK_FIELD_SIZES:
+        raise ValueError(f"block field sizes {sizes} do not fit the layout")
+    if _raw_tx_root(tx[6] for tx in txs) != fields[2]:
+        raise ValueError("block tx_root does not recompute")
+    # As for a transaction body: the header is the first five fields.
+    if sha256(data[:framed_size(fields[:5])]).digest() != fields[5]:
+        raise ValueError("block hash does not recompute")
+    return fields[:6], txs
+
+
+def _build_block(checked: _CheckedBlock) -> Block:
+    """The block of fields that ``_check_block`` returned."""
+    header, txs = checked
+    return Block(
+        height=read_u64(header[0]),
+        prev_hash=header[1],
+        tx_root=Digest(header[2]),
+        timestamp=read_u64(header[3]),
+        nonce=read_u64(header[4]),
+        transactions=tuple(map(_build_transaction, txs)),
+        block_hash=Digest(header[5]),
+    )
 
 
 def block_header_bytes(height: int, prev_hash: bytes, tx_root: Digest,
@@ -172,35 +223,54 @@ def block_header_bytes(height: int, prev_hash: bytes, tx_root: Digest,
 
 
 def compute_tx_root(tx_ids) -> Digest:
-    return digest(b"".join(tx_id.value for tx_id in tx_ids))
+    return Digest(_raw_tx_root(tx_id.value for tx_id in tx_ids))
+
+
+def _raw_tx_root(raw_tx_ids) -> bytes:
+    """SHA-256 of the concatenated raw tx_id octets."""
+    return sha256(b"".join(raw_tx_ids)).digest()
 
 
 class Chain:
     """Single-node chain: one writer at a time, read-only verification.
 
     ``blocks`` is the mined history; ``pending`` holds admitted
-    transactions awaiting the next block, drained FIFO by mine_block.
+    transactions awaiting the next block, drained FIFO by mine.
+    A loaded chain keeps its records as checked fields (``_unbuilt``)
+    until ``blocks`` is first read.
     """
 
     def __init__(self, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS,
                  clock: Callable[[], float] = time.time,
                  blocks: list[Block] | None = None):
-        if difficulty_bits < 0:
-            raise ValueError("difficulty must be >= 0")
+        if not 0 <= difficulty_bits <= MAX_DIFFICULTY_BITS:
+            raise ValueError(f"difficulty must be in 0..{MAX_DIFFICULTY_BITS}")
         self.difficulty_bits = difficulty_bits
         self.clock = clock
-        self.blocks: list[Block] = blocks if blocks is not None else []
+        self._unbuilt: list[_CheckedBlock] = []  # the oldest blocks, not built yet
+        self._blocks: list[Block] = blocks if blocks is not None else []
         self.pending: list[Transaction] = []
         self._seen: set[bytes] = {
-            tx.tx_id.value for block in self.blocks for tx in block.transactions}
+            tx.tx_id.value for block in self._blocks for tx in block.transactions}
+
+    @property
+    def blocks(self) -> list[Block]:
+        """The mined history, oldest first; loaded blocks are built here,
+        once, on the first read."""
+        if self._unbuilt:
+            self._blocks[:0] = map(_build_block, self._unbuilt)
+            self._unbuilt = []
+        return self._blocks
 
     def tip_hash(self) -> bytes:
-        if not self.blocks:
-            return GENESIS_PREV_HASH
-        return self.blocks[-1].block_hash.value
+        if self._blocks:
+            return self._blocks[-1].block_hash.value
+        if self._unbuilt:
+            return self._unbuilt[-1][0][5]  # the newest record's block_hash
+        return GENESIS_PREV_HASH
 
     def height(self) -> int:
-        return len(self.blocks)
+        return len(self._unbuilt) + len(self._blocks)
 
     def submit(self, tx: Transaction, provider_public: bytes) -> Digest:
         """Admit to pending after signature, freshness, and replay checks."""
@@ -227,7 +297,7 @@ class Chain:
             raise NothingToMine("no pending transactions")
         txs = tuple(self.pending)
         self.pending.clear()
-        height = len(self.blocks)
+        height = self.height()
         prev_hash = self.tip_hash()
         tx_root = compute_tx_root(tx.tx_id for tx in txs)
         timestamp = int(self.clock())
@@ -240,7 +310,7 @@ class Chain:
             raise RuntimeError("nonce space exhausted")
         block = Block(height, prev_hash, tx_root, timestamp, nonce,
                       txs, block_hash)
-        self.blocks.append(block)
+        self._blocks.append(block)
         self._seen.update(tx.tx_id.value for tx in txs)
         return block
 
@@ -296,7 +366,10 @@ def append_block(path, block: Block):
 
 def load_chain(path, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS,
                clock: Callable[[], float] = time.time) -> Chain:
-    """Cold-load a chain file; any framing or recomputation defect is fatal."""
+    """Cold-load a chain file. Every record's length, checksum, framing,
+    field sizes, tx_ids, tx_root and block hash are checked here, and any
+    defect is ``ChainCorrupt``; the ``Block``s are built on the first
+    read of ``Chain.blocks``. A missing file is the empty chain."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -307,7 +380,8 @@ def load_chain(path, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS,
 
 def parse_chain(data: bytes, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS,
                 clock: Callable[[], float] = time.time) -> Chain:
-    blocks = []
+    """The chain of a chain file's bytes, checked as ``load_chain`` says."""
+    chain = Chain(difficulty_bits=difficulty_bits, clock=clock)
     offset = 0
     while offset < len(data):
         if offset + 4 > len(data):
@@ -319,14 +393,16 @@ def parse_chain(data: bytes, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS,
             raise ChainCorrupt("truncated record")
         payload = data[offset:offset + length]
         checksum = data[offset + length:end]
-        if digest(payload).value != checksum:
+        if sha256(payload).digest() != checksum:
             raise ChainCorrupt("record checksum mismatch")
         try:
-            blocks.append(Block.from_bytes(payload))
+            checked = _check_block(payload)
         except ValueError as exc:
             raise ChainCorrupt(f"bad block record: {exc}") from exc
+        chain._unbuilt.append(checked)
+        chain._seen.update(tx[6] for tx in checked[1])
         offset = end
-    return Chain(difficulty_bits=difficulty_bits, clock=clock, blocks=blocks)
+    return chain
 
 
 def _frame_record(payload: bytes) -> bytes:

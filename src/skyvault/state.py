@@ -35,10 +35,11 @@ calls only the writers for what it changed:
 Every writer goes through ``_write``, which writes ``.<name>.tmp`` beside
 the file and renames it over the file with ``os.replace``: a command
 killed mid-write leaves the old file or the new one, and no loader reads
-a leftover temporary file. Each file is mode 0600 whatever the umask,
-as keys, the session key and the login are secrets. A fragment file is
-written only when it does not exist yet, as it is named by the digest of
-its bytes. The chain file is only appended to. ``save_world`` is the
+a leftover temporary file. Each file written whole is mode 0600
+whatever the umask, as keys, the session key and the login are secrets;
+``chain.log`` is appended to, not written whole, and ``lock`` is empty.
+A fragment file is written only when it does not exist yet, as it is
+named by the digest of its bytes. ``save_world`` is the
 bulk save for a world built through the library; no command calls it.
 
 Commands on one state run one at a time: each holds
@@ -78,7 +79,7 @@ from .errors import (AlreadyPublished, BadConfig, StateCorrupt, StateMissing,
 from .hls import DEFAULT_SEGMENT_BYTES
 from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_KEY_SIZE, SESSION_TTL_DEFAULT,
                        Account, IdentityService, SessionToken, check_id)
-from .ledger import DEFAULT_DIFFICULTY_BITS, Chain, load_chain
+from .ledger import DEFAULT_DIFFICULTY_BITS, MAX_DIFFICULTY_BITS, Chain, load_chain
 from .licensing import License, consumer_fingerprint
 from .storage import (DEFAULT_CHUNK_SIZE, DEFAULT_REPLICATION, FileManifest,
                       Host, SkyLink, StorageNetwork)
@@ -104,6 +105,9 @@ class Config:
         for field in dataclass_fields(self):
             if getattr(self, field.name) <= 0:
                 raise BadConfig(f"{field.name} must be positive")
+        if self.pow_difficulty > MAX_DIFFICULTY_BITS:
+            raise BadConfig(f"pow_difficulty {self.pow_difficulty} exceeds "
+                            f"{MAX_DIFFICULTY_BITS}, the bits of a block hash")
         if self.replication_factor > self.host_count:
             raise BadConfig(
                 f"replication_factor {self.replication_factor} exceeds "

@@ -25,6 +25,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import file_stats, files_written
 
+from skyvault import ledger
 from skyvault.cli import main
 from skyvault.crypto import Envelope, derive_credential, generate_keypair
 from skyvault.hls import read_package, unpackage
@@ -151,6 +152,17 @@ class TestErrors:
         result = run(runner, root, "buy", skylink, "--actions", actions, expect=1)
         assert stderr_json(result)["error"] == "unknown_action"
         assert not (root / "chain.log").exists()
+
+    def test_unknown_action_not_playable(self, runner, root, tmp_path):
+        _, skylink = bootstrap(runner, root, tmp_path, size=20_000)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        run(runner, root, "buy", skylink, "--max-uses", "1")
+        out = tmp_path / "o.bin"
+        result = run(runner, root, "play", skylink, str(out), "--action", "fly", expect=1)
+        assert stderr_json(result)["error"] == "unknown_action"
+        assert not out.exists()
+        # No use was spent: the one-use license still plays once.
+        assert "uses: 1/1" in run(runner, root, "play", skylink, str(out)).output
 
     def test_command_before_init(self, runner, root):
         result = run(runner, root, "verify-chain", expect=1)
@@ -304,6 +316,17 @@ class TestHlsCommand:
         result = run(runner, root, "init", "--segment-bytes", segment_bytes, expect=1)
         assert stderr_json(result)["error"] == "bad_config"
         assert not (root / "config").exists()
+
+    @pytest.mark.parametrize("bits", ["257", "300"])
+    def test_unmeetable_pow_difficulty_refused(self, runner, root, bits):
+        # No block hash has more than 256 leading zero bits, so no buy could mine.
+        result = run(runner, root, "init", "--pow-difficulty", bits, expect=1)
+        assert stderr_json(result)["error"] == "bad_config"
+        assert not (root / "config").exists()
+
+    def test_pow_difficulty_256_accepted(self, runner, root):
+        run(runner, root, "init", "--pow-difficulty", "256")
+        assert "pow_difficulty=256\n" in (root / "config").read_text(encoding="utf-8")
 
 
 class TestColdRestart:
@@ -729,6 +752,36 @@ class TestVerifyChain:
         assert payload["error"] == "chain_invalid"
         assert payload["first_bad_height"] == 0
         assert "height 0" in payload["message"]
+
+
+class TestBlocksBuiltOnRead:
+    """Every command loads and checks the whole chain, but builds a
+    ``Block`` only for the blocks it reads."""
+
+    def test_commands_build_only_the_blocks_they_read(self, runner, purchased, tmp_path,
+                                                       monkeypatch):
+        root = _copy(purchased, tmp_path)
+        for _ in range(2):
+            run(runner, root, "buy", purchased.skylink)
+        built = []
+        init = ledger.Block.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["height"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ledger.Block, "__init__", counting_init)
+        out = str(tmp_path / "o.bin")
+        for args, heights in [
+            (["login", "alice-consumer", "--password", PASSWORD], []),
+            (["buy", purchased.skylink], [3]),  # the block it mines
+            (["play", purchased.skylink, out], []),
+            (["host", "list"], []),
+            (["verify-chain"], [0, 1, 2, 3]),  # each stored block, once
+        ]:
+            built.clear()
+            run(runner, root, *args)
+            assert built == heights, args
 
 
 def _src_env(**extra) -> dict:

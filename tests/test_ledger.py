@@ -28,6 +28,7 @@ from skyvault.ledger import (
     parse_chain,
     serialize_chain,
 )
+from skyvault.wire import pack_fields, u64, unpack_fields
 
 PROVIDER = generate_keypair(bytes(range(32)))
 CONSUMER = generate_keypair(bytes(range(32, 64)))
@@ -169,6 +170,11 @@ class TestMining:
         chain.submit(sample_tx(clock), PROVIDER.public_key)
         block = chain.mine()
         assert block.nonce < 10**6
+
+    @pytest.mark.parametrize("bits", [-1, 257])
+    def test_unmeetable_difficulty_refused(self, bits):
+        with pytest.raises(ValueError, match="difficulty"):
+            Chain(difficulty_bits=bits)
 
     def test_tip_hash_tracks_latest_block(self, chain, clock):
         assert chain.tip_hash() == GENESIS_PREV_HASH
@@ -321,6 +327,47 @@ class TestSerialization:
         forged = dataclasses.replace(tx, timestamp=tx.timestamp + 1)
         with pytest.raises(ValueError, match="transaction id"):
             Transaction.from_bytes(forged.to_bytes())
+        block = mined_chain(clock, n_blocks=1).blocks[0]
+        forged_block = dataclasses.replace(block, transactions=(forged,))
+        with pytest.raises(ChainCorrupt, match="transaction id"):
+            parse_chain(serialize_chain(Chain(blocks=[forged_block])))
+
+    def test_stale_tx_root_rejected_behind_good_checksum(self, clock):
+        block = mined_chain(clock, n_blocks=1).blocks[0]
+        forged = dataclasses.replace(block, tx_root=digest(b"another root"))
+        forged = dataclasses.replace(forged, block_hash=digest(forged.header_bytes()))
+        with pytest.raises(ChainCorrupt, match="tx_root"):
+            parse_chain(serialize_chain(Chain(blocks=[forged])))
+
+    def test_short_digest_field_rejected_behind_good_checksum(self, clock):
+        # A 31-byte content commitment, under a tx_id, tx_root, block hash
+        # and checksum that all recompute.
+        body = unpack_fields(sample_tx(clock).body_bytes())
+        body[2] = body[2][:31]
+        tx_id = digest(pack_fields(body))
+        tx_record = pack_fields(body + [b"signature", tx_id.value])
+        header = pack_fields([u64(0), GENESIS_PREV_HASH, digest(tx_id.value).value,
+                              u64(int(clock())), u64(0)])
+        record = header + pack_fields([digest(header).value, u64(1), tx_record])
+        image = len(record).to_bytes(4, "big") + record + digest(record).value
+        with pytest.raises(ChainCorrupt, match="field sizes"):
+            parse_chain(image)
+
+    def test_height_and_tip_without_building(self, clock, tmp_path):
+        chain = mined_chain(clock, n_blocks=3)
+        path = tmp_path / "chain.log"
+        for block in chain.blocks:
+            append_block(path, block)
+        loaded = load_chain(path, difficulty_bits=8, clock=clock)
+        # Read before the blocks are built, then against the built blocks.
+        assert (loaded.height(), loaded.tip_hash()) == (3, chain.tip_hash())
+        tx = sample_tx(clock, salt=b"next")
+        for each in (chain, loaded):
+            each.submit(tx, PROVIDER.public_key)
+        assert loaded.mine() == chain.mine()
+        assert loaded.blocks == chain.blocks
+        assert loaded.height() == len(loaded.blocks) == 4
+        assert loaded.tip_hash() == loaded.blocks[-1].block_hash.value
 
     def test_stale_block_hash_rejected_behind_good_checksum(self, clock):
         block = mined_chain(clock, n_blocks=1).blocks[0]
