@@ -4,9 +4,9 @@ State lives in a directory chosen by ``--state`` or the SKYVAULT_STATE
 environment variable. Commands load it cold, act, and write what they
 changed before exiting; a later invocation (or a different machine
 pointed at a copy) sees identical state; commands on one state run one
-at a time (see :mod:`skyvault.state`). Failures print one JSON object
-on stderr, ``{"error": <stable code>, "message": ...}``, and exit
-nonzero; no command prints key material.
+at a time (see :mod:`skyvault.state`). A failure prints its error's
+``to_json()`` on stderr, ``{"error": <stable code>, "message": ...}`` and
+any details, and exits nonzero; no command prints key material.
 """
 
 from __future__ import annotations
@@ -313,7 +313,8 @@ def verify_chain(world):
     """Recheck every block in the persisted chain."""
     bad_height = world.chain.verify()
     if bad_height is not None:
-        raise ChainInvalid(bad_height)
+        raise ChainInvalid(f"chain fails verification at height {bad_height}",
+                           first_bad_height=bad_height)
     click.echo("ok")
 
 

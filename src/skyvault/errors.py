@@ -1,24 +1,30 @@
 """Exception hierarchy with stable machine-readable error codes.
 
-Every error carries a ``code`` string that stays stable across releases;
-the CLI (on stderr) and the HTTP service (in the reply body) surface it
-as ``to_json()``, so scripts can match on it instead of parsing prose.
+Every failure this package reports is a ``SkyVaultError``: a ``code``
+that stays stable across releases, a message and any details. Its
+``to_json()`` is the one rendering, on the CLI's stderr and in the HTTP
+service's reply body, so scripts can match on the code, not on prose.
 """
 
 from __future__ import annotations
 
 
 class SkyVaultError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    DETAILS are kept once: each is an attribute (``exc.chunk_index``),
+    and ``to_json()`` emits them after the message, in the order given.
+    """
 
     code = "error"
 
-    def details(self) -> dict:
-        """Extra machine-readable context for structured error output."""
-        return {}
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details
+        vars(self).update(details)
 
     def to_json(self) -> dict:
-        return {"error": self.code, "message": str(self), **self.details()}
+        return {"error": self.code, "message": str(self), **self.details}
 
 
 # -- crypto ------------------------------------------------------------------
@@ -122,33 +128,16 @@ class KeyAccessDenied(SkyVaultError):
 
 
 class IntegrityFailure(SkyVaultError):
-    """Stored data no longer matches its recorded digest.
-
-    Attributable: carries the chunk index and the offending host id
-    (both ``None`` only for the whole-file digest check).
-    """
+    """Stored data no longer matches its recorded digest; carries
+    ``chunk_index`` and ``host_id``, both None for the whole-file check."""
 
     code = "integrity_failure"
 
-    def __init__(self, message: str, chunk_index: int | None = None,
-                 host_id: str | None = None):
-        super().__init__(message)
-        self.chunk_index = chunk_index
-        self.host_id = host_id
-
-    def details(self) -> dict:
-        return {"chunk_index": self.chunk_index, "host_id": self.host_id}
-
 
 class AllReplicasDown(SkyVaultError):
+    """No live replica holds a chunk; carries its ``chunk_index``."""
+
     code = "all_replicas_down"
-
-    def __init__(self, message: str, chunk_index: int | None = None):
-        super().__init__(message)
-        self.chunk_index = chunk_index
-
-    def details(self) -> dict:
-        return {"chunk_index": self.chunk_index}
 
 
 # -- ledger ------------------------------------------------------------------
@@ -184,14 +173,9 @@ class ChainCorrupt(SkyVaultError):
 
 
 class ChainInvalid(SkyVaultError):
+    """A decoded chain fails verification; carries ``first_bad_height``."""
+
     code = "chain_invalid"
-
-    def __init__(self, first_bad_height: int):
-        super().__init__(f"chain fails verification at height {first_bad_height}")
-        self.first_bad_height = first_bad_height
-
-    def details(self) -> dict:
-        return {"first_bad_height": self.first_bad_height}
 
 
 # -- licensing ---------------------------------------------------------------
@@ -209,16 +193,9 @@ class UnknownAction(SkyVaultError):
 
 
 class RightsDenied(SkyVaultError):
-    """Key redemption refused by the license's rules."""
+    """Key redemption refused by the license's rules; carries ``reason``."""
 
     code = "rights_denied"
-
-    def __init__(self, reason: str):
-        super().__init__(f"rights denied: {reason}")
-        self.reason = reason
-
-    def details(self) -> dict:
-        return {"reason": self.reason}
 
 
 class NotAuthenticated(SkyVaultError):
@@ -240,14 +217,9 @@ class EmptyMedia(SkyVaultError):
 
 
 class MissingSegment(SkyVaultError):
+    """A segment the playlist names is absent; carries its name, ``segment``."""
+
     code = "missing_segment"
-
-    def __init__(self, name: str):
-        super().__init__(f"missing segment: {name}")
-        self.name = name
-
-    def details(self) -> dict:
-        return {"segment": self.name}
 
 
 class PaddingError(SkyVaultError):
@@ -278,9 +250,8 @@ class StateMissing(SkyVaultError):
     code = "state_missing"
 
 
-class StateCorrupt(SkyVaultError, ValueError):
-    """A state file that exists but does not decode (a ValueError, like
-    the decode errors it stands for)."""
+class StateCorrupt(SkyVaultError):
+    """A state file that exists but does not decode."""
 
     code = "state_corrupt"
 

@@ -151,7 +151,7 @@ def unpackage(pkg: HlsPackage, key: bytes) -> bytes:
     parts = []
     for position, (_, name) in enumerate(parsed.segments):
         if name not in by_name:
-            raise MissingSegment(name)
+            raise MissingSegment(f"missing segment: {name}", segment=name)
         sequence = parsed.media_sequence + position
         parts.append(decrypt_segment(key, sequence, by_name[name]))
     return b"".join(parts)
@@ -322,7 +322,7 @@ def read_package(outdir, key: bytes | None = None) -> HlsPackage:
     for _, name in parsed.segments:
         path = out / name
         if not path.exists():
-            raise MissingSegment(name)
+            raise MissingSegment(f"missing segment: {name}", segment=name)
         segments.append(Segment(name=name, ciphertext=path.read_bytes()))
     return HlsPackage(
         media_playlist=playlist,

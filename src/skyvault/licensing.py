@@ -318,7 +318,8 @@ def redeem_license(consumer_private: bytes, license: License, action: str,
     """Release the content key iff the action is allowed right now."""
     decision = check_rights(license, action, now)
     if not decision.allowed:
-        raise RightsDenied(decision.reason.value)
+        reason = decision.reason.value
+        raise RightsDenied(f"rights denied: {reason}", reason=reason)
     return open_envelope(consumer_private, license.enveloped_content_key)
 
 

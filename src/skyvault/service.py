@@ -31,6 +31,10 @@ hang-up:
 
 A POST without a body is a 400 ``bad_request`` on a connection that stays
 open; a GET's body is not read, so the connection closes after the reply.
+
+Every failure, a refused request or an unknown path too, is a
+``SkyVaultError``: its class gives the status and ``to_json()`` the body.
+Any other exception is the one hand-built body, a 500 ``internal``.
 """
 
 from __future__ import annotations
@@ -61,7 +65,17 @@ _MAX_BODY = 1 << 20
 _MAX_LINE = 65536  # bytes in the request line, and in each header line
 _MAX_HEADERS = 100  # header lines in one request
 
+
+class _BadRequest(SkyVaultError):
+    code = "bad_request"
+
+
+class _NotFound(SkyVaultError):
+    code = "not_found"
+
+
 _STATUS_BY_ERROR = {
+    _BadRequest: 400,
     BadIdentifier: 400,
     WeakPassword: 400,
     BadKeyLength: 400,
@@ -70,12 +84,9 @@ _STATUS_BY_ERROR = {
     InvalidToken: 401,
     UnknownId: 404,
     UnknownChallenge: 404,
+    _NotFound: 404,
     DuplicateId: 409,
 }
-
-
-class _BadRequest(Exception):
-    pass
 
 
 def _handler_class(identity: IdentityService,
@@ -192,8 +203,7 @@ def _handler_class(identity: IdentityService,
                         Digest(_octets(body, "response")))
                     self._reply(200, session.to_json())
                 else:
-                    self._reply(404, {"error": "not_found",
-                                      "message": f"no such endpoint: {self.path}"})
+                    raise _NotFound(f"no such endpoint: {self.path}")
             except Exception as exc:
                 self._reply_error(exc)
 
@@ -210,8 +220,7 @@ def _handler_class(identity: IdentityService,
                     account_id = identity.validate_session(raw)
                     self._reply(200, {"account_id": account_id})
                 else:
-                    self._reply(404, {"error": "not_found",
-                                      "message": f"no such endpoint: {self.path}"})
+                    raise _NotFound(f"no such endpoint: {self.path}")
             except Exception as exc:
                 self._reply_error(exc)
 
@@ -221,7 +230,7 @@ def _handler_class(identity: IdentityService,
             # The body's end is unknown, so nothing after it can be read as
             # a request (RFC 9112, section 6.3).
             self.close_connection = True
-            self._reply(400, {"error": "bad_request", "message": message})
+            self._reply_error(_BadRequest(message))
             return False
 
         def _read_json(self) -> dict:
@@ -257,13 +266,10 @@ def _handler_class(identity: IdentityService,
             self.wfile.write(head.encode("latin-1") + body)
 
         def _reply_error(self, exc: Exception):
-            if isinstance(exc, _BadRequest):
-                self._reply(400, {"error": "bad_request", "message": str(exc)})
-                return
             if isinstance(exc, SkyVaultError):
                 self._reply(_STATUS_BY_ERROR.get(type(exc), 400), exc.to_json())
-                return
-            self._reply(500, {"error": "internal", "message": str(exc)})
+            else:
+                self._reply(500, {"error": "internal", "message": str(exc)})
 
     return Handler
 

@@ -108,6 +108,9 @@ class Config:
         if self.pow_difficulty > MAX_DIFFICULTY_BITS:
             raise BadConfig(f"pow_difficulty {self.pow_difficulty} exceeds "
                             f"{MAX_DIFFICULTY_BITS}, the bits of a block hash")
+        if self.chunk_size >= 1 << 64:
+            raise BadConfig(f"chunk_size {self.chunk_size} exceeds 2^64 - 1, "
+                            "the largest a manifest stores")
         if self.replication_factor > self.host_count:
             raise BadConfig(
                 f"replication_factor {self.replication_factor} exceeds "
@@ -258,19 +261,19 @@ class StateDirectory:
         _write(self.manifests_dir / f"{link_digest.hex}.manifest", manifest.to_bytes())
 
     def load_network(self, config: Config) -> StorageNetwork:
-        roster = _load(self.roster_path, lambda data: [
-            (entry["host_id"], bool(entry["alive"])) for entry in _json(data)])
+        roster = _load(self.roster_path, lambda data: _objects(
+            data, {"host_id": str, "alive": bool}, "host_id"))
         hosts = []
-        for host_id, alive in roster:
-            host = Host(host_id)
+        for entry in roster:
+            host = Host(entry["host_id"])
             # Fragments by hex name only: a temporary file starts with a dot.
-            for path in sorted((self.hosts_dir / host_id).glob("[0-9a-f]*")):
+            for path in sorted((self.hosts_dir / host.host_id).glob("[0-9a-f]*")):
                 try:
                     fragment_digest = Digest.from_hex(path.name)
                 except ValueError:
                     raise StateCorrupt(f"state file {path} is not named by a digest") from None
                 host.store(fragment_digest, path.read_bytes())
-            host.alive = alive
+            host.alive = entry["alive"]
             hosts.append(host)
         network = StorageNetwork(hosts=hosts,
                                  replication_factor=config.replication_factor)
@@ -309,7 +312,8 @@ class StateDirectory:
     def load_catalog(self) -> list[dict]:
         if not self.catalog_path.is_file():
             return []
-        return _load(self.catalog_path, _json)
+        return _load(self.catalog_path, lambda data: _objects(
+            data, {"title": str, "skylink": str, "provider_id": str}, "skylink"))
 
     def add_catalog_entry(self, title: str, skylink: SkyLink, provider_id: str):
         catalog = self.load_catalog()
@@ -382,6 +386,20 @@ def _decode_session_key(data: bytes) -> bytes:
     if len(data) != SESSION_KEY_SIZE:
         raise ValueError(f"session key is {len(data)} bytes, not {SESSION_KEY_SIZE}")
     return data
+
+
+def _objects(data: bytes, types: dict[str, type], unique: str) -> list[dict]:
+    """DATA as its writer writes it: a JSON list of objects with exactly the
+    keys and value types of TYPES, no two with one value of UNIQUE."""
+    items = _json(data)
+    if type(items) is not list or not all(
+            type(item) is dict and item.keys() == types.keys()
+            and all(type(item[key]) is kind for key, kind in types.items())
+            for item in items):
+        raise ValueError(f"not a list of objects of {list(types)}")
+    if len({item[unique] for item in items}) != len(items):
+        raise ValueError(f"two entries with one {unique}")
+    return items
 
 
 def _decode_keypair(payload: dict) -> KeyPair:

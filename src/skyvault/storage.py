@@ -295,7 +295,8 @@ def download_with_key(link: SkyLink, network: StorageNetwork, file_key: bytes) -
         parts.append(_fetch_chunk(network, record, file_key))
     blob = b"".join(parts)
     if digest(blob) != manifest.file_digest:
-        raise IntegrityFailure("reassembled file digest mismatch")
+        raise IntegrityFailure("reassembled file digest mismatch",
+                               chunk_index=None, host_id=None)
     return blob
 
 

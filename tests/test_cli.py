@@ -252,6 +252,46 @@ class TestDamagedState:
         assert error["error"] == "state_corrupt"
         assert "abc" in error["message"]
 
+    @staticmethod
+    def refused(runner, root, *args) -> dict:
+        """ARGS end in one JSON error with exit 1, and no traceback."""
+        result = runner.invoke(main, ["--state", str(root), *args],
+                               catch_exceptions=False)
+        stderr = result.stderr_bytes.decode()
+        assert result.exit_code == 1, stderr
+        assert "Traceback" not in stderr
+        return json.loads(stderr)
+
+    @pytest.mark.parametrize("catalog", [
+        [1],
+        {"a": 1},
+        [{"skylink": "sia://AAAA"}],
+        [{"title": "T", "skylink": "sia://AAAA", "provider_id": 7}],
+    ], ids=["number", "object", "missing-keys", "number-provider"])
+    @pytest.mark.parametrize("command", ["buy", "publish"])
+    def test_damaged_catalog(self, runner, purchased, tmp_path, catalog, command):
+        root = _copy(purchased, tmp_path)
+        (root / "catalog.json").write_text(json.dumps(catalog))
+        args = [command, purchased.skylink]
+        if command == "publish":  # only the uploader reaches the catalog
+            run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+            args += ["--title", "Again"]
+        error = self.refused(runner, root, *args)
+        assert error["error"] == "state_corrupt"
+        assert "catalog.json" in error["message"]
+
+    @pytest.mark.parametrize("roster", [
+        [{"host_id": 5, "alive": True}],
+        [{"host_id": "h0", "alive": "false"}],
+        [{"host_id": "h0", "alive": True}, {"host_id": "h0", "alive": False}],
+    ], ids=["number-id", "string-alive", "twice"])
+    def test_damaged_roster(self, runner, root, roster):
+        run(runner, root, "init")
+        (root / "hosts" / "roster.json").write_text(json.dumps(roster))
+        error = self.refused(runner, root, "host", "list")
+        assert error["error"] == "state_corrupt"
+        assert "roster.json" in error["message"]
+
 
 class TestPublish:
     def test_only_the_uploader_lists_a_skylink_once(self, runner, root, tmp_path):
@@ -316,6 +356,23 @@ class TestHlsCommand:
         result = run(runner, root, "init", "--segment-bytes", segment_bytes, expect=1)
         assert stderr_json(result)["error"] == "bad_config"
         assert not (root / "config").exists()
+
+    @pytest.mark.parametrize("size", [str(2**64), "9" * 30])
+    def test_chunk_size_past_u64_refused(self, runner, root, size):
+        # A manifest stores chunk_size as a u64, so no upload could be saved.
+        result = run(runner, root, "init", "--chunk-size", size, expect=1)
+        assert stderr_json(result)["error"] == "bad_config"
+        assert not (root / "config").exists()
+
+    def test_chunk_size_u64_max_accepted(self, runner, root, tmp_path):
+        run(runner, root, "init", "--chunk-size", str(2**64 - 1))
+        run(runner, root, "register", "studio-prime", "--password", PASSWORD)
+        run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+        src = tmp_path / "m.bin"
+        src.write_bytes(os.urandom(1000))
+        skylink = run(runner, root, "upload", str(src)).output.split("Skylink: ")[1].strip()
+        run(runner, root, "download", skylink, str(tmp_path / "o.bin"))
+        assert (tmp_path / "o.bin").read_bytes() == src.read_bytes()
 
     @pytest.mark.parametrize("bits", ["257", "300"])
     def test_unmeetable_pow_difficulty_refused(self, runner, root, bits):
@@ -717,6 +774,7 @@ class TestBadInput:
         "play a non-skylink": (["play", "notalink", "{tmp}/o.bin"], 1, "unknown_skylink"),
         "play a short skylink": (["play", "sia://AAAA", "{tmp}/o.bin"],
                                  1, "unknown_skylink"),
+        "chunk size past u64": (["init", "--chunk-size", str(2**64)], 1, "bad_config"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -752,6 +810,33 @@ class TestVerifyChain:
         assert payload["error"] == "chain_invalid"
         assert payload["first_bad_height"] == 0
         assert "height 0" in payload["message"]
+        assert result.stderr_bytes == (
+            b'{"error": "chain_invalid", "message": "chain fails verification at height 0", '
+            b'"first_bad_height": 0}\n')
+
+
+class TestErrorOutput:
+    """Error output that carries details, byte for byte."""
+
+    def test_all_replicas_down(self, runner, purchased, tmp_path):
+        root = _copy(purchased, tmp_path)
+        for i in range(5):
+            run(runner, root, "host", "fail", f"h{i}")
+        result = run(runner, root, "play", purchased.skylink, str(tmp_path / "o.bin"),
+                     expect=1)
+        assert result.stderr_bytes == (
+            b'{"error": "all_replicas_down", "message": "no live replica holds chunk 0 '
+            b'(0 reachable)", "chunk_index": 0}\n')
+
+    def test_rights_denied(self, runner, root, tmp_path):
+        _, skylink = bootstrap(runner, root, tmp_path, size=20_000)
+        run(runner, root, "login", "alice-consumer", "--password", PASSWORD)
+        run(runner, root, "buy", skylink, "--max-uses", "1")
+        run(runner, root, "play", skylink, str(tmp_path / "o.bin"))
+        result = run(runner, root, "play", skylink, str(tmp_path / "o.bin"), expect=1)
+        assert result.stderr_bytes == (
+            b'{"error": "rights_denied", "message": "rights denied: UsesExhausted", '
+            b'"reason": "UsesExhausted"}\n')
 
 
 class TestBlocksBuiltOnRead:

@@ -50,7 +50,7 @@ from skyvault.licensing import (
     SecretBlock,
     consumer_fingerprint,
 )
-from skyvault.state import Config, _decode_license, _license_filename
+from skyvault.state import Config, StateDirectory, _decode_license, _license_filename
 from skyvault.storage import ChunkRecord, FileManifest, SkyLink
 from skyvault.wire import b64u, b64u_decode, pack_fields, u64, unpack_fields
 
@@ -396,3 +396,89 @@ MASTER_LINES = st.one_of(
 def test_validate_master_playlist(text):
     value_round_trips(validate_master_playlist,
                       lambda renditions: master_playlist(list(renditions)).text, text)
+
+
+# -- JSON state files ---------------------------------------------------------
+# Loaded, then saved again by the file's own writer, a file gives back the
+# same JSON value; anything else is StateCorrupt.
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 2), st.just(1.0),
+                         st.sampled_from(["", "h0", "h1", "false", "sia://AAAA", "T"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["a", "host_id", "title"]),
+                                            inner, max_size=3)),
+    max_leaves=6)
+
+
+ROSTER_ENTRY = st.fixed_dictionaries({"host_id": st.sampled_from(["h0", "h1", "h2"]),
+                                      "alive": st.booleans()})
+CATALOG_ENTRY = st.fixed_dictionaries({
+    "title": st.sampled_from(["T", ""]),
+    "skylink": st.sampled_from(["sia://AAAA", "sia://BBBB", "s"]),
+    "provider_id": st.sampled_from(["p", "h0"])})
+
+
+def _edit(entry: dict, key: str, value, drop: bool) -> dict:
+    entry = dict(entry)
+    if drop:
+        entry.pop(key, None)
+    else:
+        entry[key] = value
+    return entry
+
+
+def _entries(entry):
+    """Lists of ENTRYs, some with one key dropped or set to any scalar."""
+    keys = st.sampled_from(["host_id", "alive", "title", "skylink", "provider_id", "other"])
+    edited = st.tuples(entry, keys, JSON_SCALARS, st.booleans()).map(lambda t: _edit(*t))
+    return st.lists(st.one_of(entry, edited), max_size=3)
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def state(tmp_path_factory):
+    state = StateDirectory(tmp_path_factory.mktemp("decoders") / "state")
+    state.initialize(Config())
+    return state
+
+
+@PROPERTY
+@example([{"host_id": 5, "alive": True}])
+@example([{"host_id": "h0", "alive": "false"}])
+@example([{"host_id": "h0", "alive": 1}])
+@example([{"host_id": "h0", "alive": True}, {"host_id": "h0", "alive": False}])
+@given(st.one_of(_entries(ROSTER_ENTRY), JSON_VALUES))
+def test_roster(state, value):
+    text = json.dumps(value)
+    state.roster_path.write_text(text)
+    try:
+        network = state.load_network(Config())
+    except SkyVaultError:
+        return
+    state.save_roster(network)
+    assert _canonical(state.roster_path.read_text()) == _canonical(text)
+
+
+@PROPERTY
+@example([1])
+@example({"a": 1})
+@example([{"skylink": "sia://AAAA"}])
+@example([{"title": "T", "skylink": "sia://AAAA", "provider_id": "h0"}] * 2)
+@given(st.one_of(_entries(CATALOG_ENTRY), JSON_VALUES))
+def test_catalog(state, value):
+    text = json.dumps(value)
+    state.catalog_path.write_text(text)
+    try:
+        catalog = state.load_catalog()
+    except SkyVaultError:
+        return
+    state.catalog_path.write_text("[]")
+    for entry in catalog:
+        state.add_catalog_entry(entry["title"], SkyLink(entry["skylink"]),
+                                entry["provider_id"])
+    assert _canonical(state.catalog_path.read_text()) == _canonical(text)

@@ -104,7 +104,7 @@ class TestUnpackage:
             pkg, segments=tuple(s for s in pkg.segments if s.name != "seg1.ts"))
         with pytest.raises(MissingSegment) as err:
             unpackage(gutted, KEY)
-        assert err.value.name == "seg1.ts"
+        assert err.value.segment == "seg1.ts"
 
     def test_corrupt_segment_padding_error(self, rng):
         pkg = package(rng.randbytes(50_000), KEY, segment_bytes=10_000)

@@ -478,6 +478,23 @@ class TestReplyBodies:
             "HTTP/1.1 404 Not Found",
             b'{"error": "not_found", "message": "no such endpoint: /nope"}')
 
+    def test_404_not_found_post(self, server):
+        assert self.answer(server, post("/nope", extra=self.CLOSE)) == (
+            "HTTP/1.1 404 Not Found",
+            b'{"error": "not_found", "message": "no such endpoint: /nope"}')
+
+    def test_400_bad_request(self, server):
+        assert self.answer(server, post("/register", b"[1]", self.CLOSE)) == (
+            "HTTP/1.1 400 Bad Request",
+            b'{"error": "bad_request", "message": "request body must be a JSON object"}')
+
+    def test_400_refused_framing(self, server):
+        request = (b"POST /register HTTP/1.1\r\nHost: x\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n")
+        assert self.answer(server, request) == (
+            "HTTP/1.1 400 Bad Request",
+            b'{"error": "bad_request", "message": "Transfer-Encoding is not supported"}')
+
     def test_401_response_mismatch(self, server):
         register(server)
         _, begin = call(server, "POST", "/auth/begin", {"id": "alice-consumer"})

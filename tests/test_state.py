@@ -199,7 +199,7 @@ class TestStateDirectory:
         [path] = state.licenses_dir.iterdir()
         bob_prefix = digest(b"bob-consumer" + digest(b"film").value).hex
         path.rename(path.with_name(f"{bob_prefix}-{lic.license_id.hex()}.json"))
-        with pytest.raises(ValueError):
+        with pytest.raises(StateCorrupt, match="does not match its record"):
             state.load_licenses("bob-consumer", digest(b"film"))
 
     def test_secret_round_trip(self, state):

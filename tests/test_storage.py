@@ -1,5 +1,6 @@
 """Storage network: chunking, encryption, replication, skylinks, failover."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -300,6 +301,19 @@ class TestTamperDetection:
             host.store(record.ciphertext_digest, fragment[:-1])
         with pytest.raises(IntegrityFailure):
             download(link, network, uploader.private_key)
+
+    def test_reassembled_file_mismatch_names_no_chunk(self, network, uploader,
+                                                      rng, monkeypatch):
+        # Every chunk passes its own check, in the wrong order.
+        link, manifest = upload(rng.randbytes(3000), network, uploader, chunk_size=1024)
+        reordered = dataclasses.replace(
+            manifest, chunk_records=manifest.chunk_records[::-1])
+        monkeypatch.setattr(network, "lookup", lambda _: reordered)
+        with pytest.raises(IntegrityFailure) as err:
+            download(link, network, uploader.private_key)
+        assert err.value.to_json() == {
+            "error": "integrity_failure", "message": "reassembled file digest mismatch",
+            "chunk_index": None, "host_id": None}
 
 
 class TestManifestSerialization:
