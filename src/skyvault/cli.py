@@ -17,7 +17,6 @@ import os
 import signal
 import sys
 import time
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import click
@@ -81,9 +80,9 @@ def _open_out(path, write=functools.partial(open, mode="wb")):
 
 def config_options(fn):
     """One ``--<setting>`` option per Config field, with the field's default."""
-    for field in reversed(dataclass_fields(Config)):
-        fn = click.option(f"--{field.name.replace('_', '-')}", type=int,
-                          default=field.default, show_default=True)(fn)
+    for name, default in reversed(Config.FIELDS.items()):
+        fn = click.option(f"--{name.replace('_', '-')}", type=int,
+                          default=default, show_default=True)(fn)
     return fn
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -40,7 +39,7 @@ from .errors import (
     EmptyPassword,
     OpenFailed,
 )
-from .wire import pack_fields, unpack_fields
+from .wire import Record, pack_fields, unpack_fields
 
 DIGEST_SIZE = 32
 KEY_SIZE = 32
@@ -60,8 +59,7 @@ _D = (-121665 * pow(121666, _P - 2, _P)) % _P
 _X_PUBLIC_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class Digest:
+class Digest(Record):
     """A SHA-256 output; the one digest used everywhere in this package."""
 
     value: bytes
@@ -79,8 +77,7 @@ class Digest:
         return cls(bytes.fromhex(text))
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record):
     """32-byte public key plus the 32-byte seed it was derived from.
 
     The seed never appears in any wire message or persisted public
@@ -91,8 +88,7 @@ class KeyPair:
     private_key: bytes
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Record):
     """Asymmetric sealed message: only the recipient's private key opens it."""
 
     ephemeral_public: bytes
@@ -108,8 +104,7 @@ class Envelope:
         return cls(ephemeral_public=epk, nonce=nonce, ciphertext=ct)
 
 
-@dataclass(frozen=True)
-class Credential:
+class Credential(Record):
     """Registration credential: the verifier goes to the server, never the password."""
 
     id: str

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +43,7 @@ from .errors import (
     NoRenditions,
     PaddingError,
 )
+from .wire import Record
 
 DEFAULT_SEGMENT_BYTES = 1048576
 DEFAULT_DURATION_HINT = 6.0
@@ -54,28 +54,24 @@ MEDIA_SEQUENCE_BASE = 0
 _IV_SIZE = 16
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     name: str
     ciphertext: bytes
 
 
-@dataclass(frozen=True)
-class HlsPackage:
+class HlsPackage(Record):
     media_playlist: str
     segments: tuple[Segment, ...]
     key_uri: str
     key: Optional[bytes]
 
 
-@dataclass(frozen=True)
-class Rendition:
+class Rendition(Record):
     bandwidth: int
     media_playlist_name: str
 
 
-@dataclass(frozen=True)
-class MasterPlaylist:
+class MasterPlaylist(Record):
     text: str
     renditions: tuple[Rendition, ...]
 
@@ -173,8 +169,7 @@ def master_playlist(renditions: list[Rendition]) -> MasterPlaylist:
     return MasterPlaylist(text="\n".join(lines) + "\n", renditions=ordered)
 
 
-@dataclass(frozen=True)
-class ParsedMediaPlaylist:
+class ParsedMediaPlaylist(Record):
     version: int
     target_duration: int
     media_sequence: int

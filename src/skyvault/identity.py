@@ -27,7 +27,6 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable
 
 from .crypto import Digest, derive_credential, digest, open_envelope, seal, Envelope
@@ -42,7 +41,7 @@ from .errors import (
     UnknownId,
     WeakPassword,
 )
-from .wire import b64u, b64u_decode
+from .wire import Record, b64u, b64u_decode
 
 CHALLENGE_TTL_DEFAULT = 120
 SESSION_TTL_DEFAULT = 3600
@@ -60,8 +59,7 @@ _TAG_END, _EXPIRES_END, _ID_START = 32, 40, 40 + TOKEN_NONCE_SIZE
 _ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
 
-@dataclass(frozen=True)
-class Account:
+class Account(Record):
     """Registered identity. The password itself is never stored anywhere."""
 
     id: str
@@ -87,9 +85,10 @@ class Account:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Challenge:
+class Challenge(Record):
     """Outstanding login challenge; ``nonce`` stays server-side until solved."""
+
+    __slots__ = ("challenge_id", "account_id", "nonce", "sealed_nonce", "issued_at")
 
     challenge_id: bytes
     account_id: str
@@ -98,8 +97,9 @@ class Challenge:
     issued_at: int
 
 
-@dataclass(frozen=True, slots=True)
-class SessionToken:
+class SessionToken(Record):
+    __slots__ = ("token", "account_id", "expires_at")
+
     token: bytes
     account_id: str
     expires_at: int

@@ -37,9 +37,7 @@ load as ``ChainCorrupt``. The ``Block``s are built the first time
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from dataclasses import dataclass
 from hashlib import sha256
 from typing import Callable, Optional
 
@@ -53,7 +51,7 @@ from .errors import (
     StaleTimestamp,
     UnknownTransaction,
 )
-from .wire import framed_size, pack_fields, read_u64, u64, unpack_fields
+from .wire import Record, framed_size, pack_fields, read_u64, u64, unpack_fields
 
 DEFAULT_DIFFICULTY_BITS = 8
 # No SHA-256 output has more leading zero bits: a higher target is never met.
@@ -72,8 +70,7 @@ def leading_zero_bits(data: bytes) -> int:
     return 8 * len(data) - int.from_bytes(data, "big").bit_length()
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(Record):
     consumer_key_fingerprint: Digest
     provider_key_fingerprint: Digest
     content_commitment: Digest
@@ -140,12 +137,10 @@ def make_transaction(provider: KeyPair, consumer_public: bytes,
         tx_id=Digest(b"\x00" * 32),
     )
     body = unsigned.body_bytes()
-    return dataclasses.replace(unsigned, signature=sign(provider.private_key, body),
-                               tx_id=digest(body))
+    return unsigned.replace(signature=sign(provider.private_key, body), tx_id=digest(body))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     height: int
     prev_hash: bytes
     tx_root: Digest
@@ -301,15 +296,16 @@ class Chain:
         prev_hash = self.tip_hash()
         tx_root = compute_tx_root(tx.tx_id for tx in txs)
         timestamp = int(self.clock())
+        # Raw octets, as in _check_block: no Digest for each nonce tried.
         for nonce in range(1 << 64):
-            block_hash = digest(block_header_bytes(
-                height, prev_hash, tx_root, timestamp, nonce))
-            if leading_zero_bits(block_hash.value) >= self.difficulty_bits:
+            block_hash = sha256(block_header_bytes(
+                height, prev_hash, tx_root, timestamp, nonce)).digest()
+            if leading_zero_bits(block_hash) >= self.difficulty_bits:
                 break
         else:
             raise RuntimeError("nonce space exhausted")
         block = Block(height, prev_hash, tx_root, timestamp, nonce,
-                      txs, block_hash)
+                      txs, Digest(block_hash))
         self._blocks.append(block)
         self._seen.update(tx.tx_id.value for tx in txs)
         return block

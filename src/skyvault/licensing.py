@@ -36,10 +36,8 @@ record and the hash.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from .crypto import Digest, Envelope, KeyPair, digest, open_envelope, seal
@@ -58,7 +56,7 @@ from .errors import (
 from .identity import Account, IdentityService, SessionToken
 from .ledger import Chain, Transaction, make_transaction
 from .storage import SkyLink, StorageNetwork, open_file_key
-from .wire import pack_fields, read_u64, u64, unpack_fields
+from .wire import Record, pack_fields, read_u64, u64, unpack_fields
 
 LICENSE_ID_SIZE = 16
 UNLIMITED_USES = (1 << 64) - 1
@@ -76,8 +74,7 @@ class DenyReason(enum.Enum):
     USES_EXHAUSTED = "UsesExhausted"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     allowed: bool
     reason: Optional[DenyReason] = None
 
@@ -90,8 +87,7 @@ class Decision:
         return cls(allowed=False, reason=reason)
 
 
-@dataclass(frozen=True)
-class KeyRules:
+class KeyRules(Record):
     """How the content key may be used: window, budget, offline flag."""
 
     not_before: int
@@ -125,8 +121,7 @@ class KeyRules:
         )
 
 
-@dataclass(frozen=True)
-class Rights:
+class Rights(Record):
     """Actions the consumer may take; granting re-license is always explicit."""
 
     allowed_actions: frozenset[str]
@@ -154,8 +149,7 @@ class Rights:
         return rights
 
 
-@dataclass
-class License:
+class License(Record, frozen=False):
     """Signed-by-hash usage grant; ``uses_consumed`` is local state."""
 
     license_id: bytes
@@ -211,8 +205,7 @@ class License:
         return lic
 
 
-@dataclass(frozen=True)
-class SecretBlock:
+class SecretBlock(Record):
     """Consumer-only purchase record; the chain sees only its digest."""
 
     block_hash: Digest
@@ -256,8 +249,7 @@ class SecretBlock:
         return block
 
 
-@dataclass(frozen=True)
-class PurchaseResult:
+class PurchaseResult(Record):
     license: License
     sealed_secret_block: Envelope
     tx_id: Digest
@@ -338,7 +330,7 @@ def build_secret_block(license: License, session_token: SessionToken,
             consumer_public, content_info_bytes(content_title, skylink)),
         license_info=license.license_hash,
     )
-    block = dataclasses.replace(block, block_hash=block.compute_hash())
+    block = block.replace(block_hash=block.compute_hash())
     return block, seal(consumer_public, block.to_bytes())
 
 

@@ -54,7 +54,10 @@ and one that does not decode is ``StateCorrupt``, each naming the file,
 so a damaged state ends a command with its JSON error, not a traceback.
 Fragments are the exception: their bytes are not decoded, so a fragment
 file must only be named by a digest, and a damaged one is found by that
-digest when it is fetched.
+digest when it is fetched. Names become paths only once checked: an
+account file must be named by its record's id, and each roster host id
+must be a plain file name by the account id rule
+(``identity.check_id``), else the file is ``StateCorrupt``.
 
 A license file is named by the record's consumer fingerprint,
 digest(consumer id ‖ content id), and its license id, so ``play`` reads
@@ -69,13 +72,12 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from .crypto import Digest, KeyPair, digest
-from .errors import (AlreadyPublished, BadConfig, StateCorrupt, StateMissing,
-                     UnknownLicense, UnknownSkylink)
+from .errors import (AlreadyPublished, BadConfig, BadIdentifier, StateCorrupt,
+                     StateMissing, UnknownLicense, UnknownSkylink)
 from .hls import DEFAULT_SEGMENT_BYTES
 from .identity import (CHALLENGE_TTL_DEFAULT, SESSION_KEY_SIZE, SESSION_TTL_DEFAULT,
                        Account, IdentityService, SessionToken, check_id)
@@ -83,7 +85,7 @@ from .ledger import DEFAULT_DIFFICULTY_BITS, MAX_DIFFICULTY_BITS, Chain, load_ch
 from .licensing import License, consumer_fingerprint
 from .storage import (DEFAULT_CHUNK_SIZE, DEFAULT_REPLICATION, FileManifest,
                       Host, SkyLink, StorageNetwork)
-from .wire import b64u, b64u_decode
+from .wire import Record, b64u, b64u_decode
 
 T = TypeVar("T")
 
@@ -91,8 +93,7 @@ CONFIG_FILENAME = "config"
 CHAIN_FILENAME = "chain.log"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     replication_factor: int = DEFAULT_REPLICATION
     chunk_size: int = DEFAULT_CHUNK_SIZE
     pow_difficulty: int = DEFAULT_DIFFICULTY_BITS
@@ -102,9 +103,9 @@ class Config:
     segment_bytes: int = DEFAULT_SEGMENT_BYTES
 
     def __post_init__(self):
-        for field in dataclass_fields(self):
-            if getattr(self, field.name) <= 0:
-                raise BadConfig(f"{field.name} must be positive")
+        for name in self.FIELDS:
+            if getattr(self, name) <= 0:
+                raise BadConfig(f"{name} must be positive")
         if self.pow_difficulty > MAX_DIFFICULTY_BITS:
             raise BadConfig(f"pow_difficulty {self.pow_difficulty} exceeds "
                             f"{MAX_DIFFICULTY_BITS}, the bits of a block hash")
@@ -117,12 +118,10 @@ class Config:
                 f"host_count {self.host_count}")
 
     def to_text(self) -> str:
-        return "".join(f"{field.name}={getattr(self, field.name)}\n"
-                       for field in dataclass_fields(self))
+        return "".join(f"{name}={getattr(self, name)}\n" for name in self.FIELDS)
 
     @classmethod
     def from_text(cls, text: str) -> "Config":
-        known = {field.name for field in dataclass_fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -130,7 +129,7 @@ class Config:
                 continue
             key, sep, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if not sep or key not in known:
+            if not sep or key not in cls.FIELDS:
                 raise BadConfig(f"config line {lineno}: unknown setting {raw!r}")
             try:
                 values[key] = int(value)
@@ -235,7 +234,7 @@ class StateDirectory:
         _write_json(self.accounts_dir / f"{account.id}.json", account.to_json())
 
     def load_accounts(self) -> list[Account]:
-        return [_load(path, lambda data: Account.from_json(_json(data)))
+        return [_load(path, lambda data: _decode_account(path.stem, _json(data)))
                 for path in sorted(self.accounts_dir.glob("*.json"))]
 
     def load_session_key(self) -> bytes:
@@ -261,8 +260,7 @@ class StateDirectory:
         _write(self.manifests_dir / f"{link_digest.hex}.manifest", manifest.to_bytes())
 
     def load_network(self, config: Config) -> StorageNetwork:
-        roster = _load(self.roster_path, lambda data: _objects(
-            data, {"host_id": str, "alive": bool}, "host_id"))
+        roster = _load(self.roster_path, _decode_roster)
         hosts = []
         for entry in roster:
             host = Host(entry["host_id"])
@@ -402,6 +400,26 @@ def _objects(data: bytes, types: dict[str, type], unique: str) -> list[dict]:
     return items
 
 
+def _decode_account(stem: str, payload: dict) -> Account:
+    account = Account.from_json(payload)
+    if account.id != stem:
+        # Lookups trust the name: a record filed under another name would
+        # be read as that account, or twice as its own.
+        raise ValueError(f"account file {stem}.json does not match its record")
+    return account
+
+
+def _decode_roster(data: bytes) -> list[dict]:
+    roster = _objects(data, {"host_id": str, "alive": bool}, "host_id")
+    for entry in roster:
+        # Each id names the host's directory under hosts/.
+        try:
+            check_id(entry["host_id"])
+        except BadIdentifier:
+            raise ValueError(f"host id {entry['host_id']!r} is not a plain file name") from None
+    return roster
+
+
 def _decode_keypair(payload: dict) -> KeyPair:
     return KeyPair(public_key=b64u_decode(payload["public_key"]),
                    private_key=b64u_decode(payload["private_key"]))
@@ -429,8 +447,7 @@ def _decode_license(name: str, payload: dict) -> License:
     return license
 
 
-@dataclass
-class World:
+class World(Record, frozen=False):
     """Everything a command needs, loaded cold from one state directory."""
 
     state: StateDirectory

@@ -27,9 +27,6 @@ field framing; also documented in the README):
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from .crypto import Digest, Envelope, KeyPair, digest, open_envelope, seal, sym_decrypt, sym_encrypt
 from .errors import (
     AllReplicasDown,
@@ -43,7 +40,7 @@ from .errors import (
     UnknownHost,
     UnknownSkylink,
 )
-from .wire import b64u, b64u_decode, pack_fields, read_u64, u64, unpack_fields
+from .wire import Record, b64u, b64u_decode, pack_fields, read_u64, u64, unpack_fields
 
 DEFAULT_CHUNK_SIZE = 262144
 DEFAULT_REPLICATION = 3
@@ -52,8 +49,7 @@ SKYLINK_PREFIX = "sia://"
 _CHUNK_NONCE_SIZE = 12
 
 
-@dataclass(frozen=True)
-class ChunkRecord:
+class ChunkRecord(Record):
     """Manifest entry: where one chunk's ciphertext lives."""
 
     index: int
@@ -77,8 +73,7 @@ class ChunkRecord:
                    tuple(part.decode("utf-8") for part in parts[3:]))
 
 
-@dataclass(frozen=True)
-class FileManifest:
+class FileManifest(Record):
     file_digest: Digest
     file_size: int
     chunk_size: int
@@ -120,8 +115,7 @@ class FileManifest:
         return cls(file_digest, file_size, chunk_size, records, envelope)
 
 
-@dataclass(frozen=True)
-class SkyLink:
+class SkyLink(Record):
     """Immutable content address: ``sia://`` + base64url manifest-core digest."""
 
     text: str
@@ -260,9 +254,8 @@ def upload(data: bytes, network: StorageNetwork, uploader: KeyPair,
         replicas = [live[(record.index + offset) % len(live)] for offset in range(replication)]
         for host in replicas:
             host.store(record.ciphertext_digest, ciphertext)
-        records.append(dataclasses.replace(
-            record, host_ids=tuple(host.host_id for host in replicas)))
-    manifest = dataclasses.replace(manifest, chunk_records=tuple(records))
+        records.append(record.replace(host_ids=tuple(host.host_id for host in replicas)))
+    manifest = manifest.replace(chunk_records=tuple(records))
     network.register_manifest(manifest)
     return link, manifest
 

@@ -16,7 +16,6 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -292,6 +291,58 @@ class TestDamagedState:
         assert error["error"] == "state_corrupt"
         assert "roster.json" in error["message"]
 
+    @pytest.mark.parametrize("host_id", ["../../outside", "..", "a/b", "/tmp", ""])
+    @pytest.mark.parametrize("command", ["host list", "upload", "download"])
+    def test_roster_id_not_a_file_name(self, runner, purchased, tmp_path, monkeypatch,
+                                       host_id, command):
+        # Joined to hosts/ unchecked, "../../outside" counted the planted
+        # file below as a fragment, and upload wrote one there.
+        root = _copy(purchased, tmp_path)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / ("ab" * 32)).write_bytes(b"planted")
+        roster = json.loads((root / "hosts" / "roster.json").read_text())
+        roster[0]["host_id"] = host_id
+        (root / "hosts" / "roster.json").write_text(json.dumps(roster))
+        args = {"host list": ["host", "list"],
+                "upload": ["upload", str(purchased.small)],
+                "download": ["download", purchased.skylink, str(tmp_path / "got.bin")]}
+        touched = []
+
+        def recording(original):
+            def record(path, *rest, **kwargs):
+                touched.append(path)
+                return original(path, *rest, **kwargs)
+            return record
+
+        for name in ("glob", "read_bytes", "mkdir"):
+            monkeypatch.setattr(Path, name, recording(getattr(Path, name)))
+        monkeypatch.setattr(os, "open", recording(os.open))
+        error = self.refused(runner, root, *args[command])
+        monkeypatch.undo()
+        assert error["error"] == "state_corrupt"
+        assert "roster.json" in error["message"]
+        inside = os.path.abspath(root)
+        assert all(os.path.commonpath([inside, os.path.abspath(path)]) == inside
+                   for path in touched)
+        assert sorted(os.listdir(outside)) == ["ab" * 32]
+        assert not (tmp_path / "got.bin").exists()
+
+    @pytest.mark.parametrize("copy", [False, True], ids=["renamed", "copied"])
+    def test_account_filed_under_another_id(self, runner, purchased, tmp_path, copy):
+        # Renamed, alice's record was read as bob-viewer's; copied, every
+        # command was duplicate_id, naming no file.
+        root = _copy(purchased, tmp_path)
+        alice = root / "accounts" / "alice-consumer.json"
+        bob = root / "accounts" / "bob-viewer.json"
+        if copy:
+            shutil.copy(alice, bob)
+        else:
+            alice.rename(bob)
+        error = self.refused(runner, root, "host", "list")
+        assert error["error"] == "state_corrupt"
+        assert "bob-viewer.json does not match its record" in error["message"]
+
 
 class TestPublish:
     def test_only_the_uploader_lists_a_skylink_once(self, runner, root, tmp_path):
@@ -311,8 +362,7 @@ class TestPublish:
 class TestInit:
     def test_options_mirror_config(self):
         options = {param.name: param.default for param in main.commands["init"].params}
-        assert options == {field.name: field.default
-                           for field in dataclass_fields(Config)}
+        assert options == Config.FIELDS
 
     def test_bare_init_writes_default_config(self, runner, root):
         run(runner, root, "init")
@@ -945,12 +995,13 @@ class TestConcurrentCommands:
 class TestColdStart:
     def test_cli_import_leaves_out_http_stack(self):
         # Only serve needs the HTTP server; every other cold command would
-        # pay for loading it. The layer modules must all stay loaded.
+        # pay for loading it. The value types generate no code, so no
+        # dataclasses either. The layer modules must all stay loaded.
         code = "import json, sys, skyvault.cli; print(json.dumps(sorted(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                              capture_output=True, text=True, check=True)
         loaded = set(json.loads(out.stdout))
-        heavy = {"http.server", "ssl", "email.parser",
+        heavy = {"http.server", "ssl", "email.parser", "dataclasses",
                  "cryptography.hazmat.primitives.serialization.ssh"}
         assert not heavy & loaded
         layers = {f"skyvault.{name}" for name in (

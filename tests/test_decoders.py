@@ -14,10 +14,8 @@ decoder once accepted without round-tripping, or that escaped as another
 exception.
 """
 
-import dataclasses
 import json
 import re
-from dataclasses import fields as dataclass_fields
 from decimal import Decimal
 
 import pytest
@@ -41,7 +39,7 @@ from skyvault.ledger import (
     parse_chain,
     serialize_chain,
 )
-from skyvault.identity import IdentityService
+from skyvault.identity import IdentityService, check_id
 from skyvault.licensing import (
     ALL_ACTIONS,
     KeyRules,
@@ -95,7 +93,7 @@ def _chain() -> Chain:
 LICENSE = _license()
 SECRET = SecretBlock(digest(b""), digest(b"tip"), NOW, digest(b"auth"), "studio-prime",
                      ENVELOPE, LICENSE.license_hash)
-SECRET = dataclasses.replace(SECRET, block_hash=SECRET.compute_hash())
+SECRET = SECRET.replace(block_hash=SECRET.compute_hash())
 CHAIN = _chain()
 BLOCK = CHAIN.blocks[0]
 TX = BLOCK.transactions[0]
@@ -315,7 +313,7 @@ def test_skylink_digest(text):
     round_trips(lambda t: SkyLink(t).digest(), lambda d: SkyLink.from_digest(d).text, text)
 
 
-CONFIG_NAMES = [field.name for field in dataclass_fields(Config)]
+CONFIG_NAMES = list(Config.FIELDS)
 CONFIG_LINES = st.one_of(
     st.sampled_from(["", "   ", "# comment", "=5", "chunk_size"]),
     st.tuples(st.sampled_from(CONFIG_NAMES + ["bogus"]),
@@ -412,7 +410,11 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-ROSTER_ENTRY = st.fixed_dictionaries({"host_id": st.sampled_from(["h0", "h1", "h2"]),
+# The last five ids are not plain file names: joined to hosts/, none of
+# them names one directory just below it.
+ROSTER_ENTRY = st.fixed_dictionaries({"host_id": st.sampled_from(
+                                          ["h0", "h1", "h2", "../../outside", "..", "a/b",
+                                           "/tmp", ""]),
                                       "alive": st.booleans()})
 CATALOG_ENTRY = st.fixed_dictionaries({
     "title": st.sampled_from(["T", ""]),
@@ -452,6 +454,7 @@ def state(tmp_path_factory):
 @example([{"host_id": "h0", "alive": "false"}])
 @example([{"host_id": "h0", "alive": 1}])
 @example([{"host_id": "h0", "alive": True}, {"host_id": "h0", "alive": False}])
+@example([{"host_id": "h0", "alive": True}, {"host_id": "../../outside", "alive": True}])
 @given(st.one_of(_entries(ROSTER_ENTRY), JSON_VALUES))
 def test_roster(state, value):
     text = json.dumps(value)
@@ -460,6 +463,7 @@ def test_roster(state, value):
         network = state.load_network(Config())
     except SkyVaultError:
         return
+    assert all(check_id(host.host_id) for host in network.hosts)
     state.save_roster(network)
     assert _canonical(state.roster_path.read_text()) == _canonical(text)
 

@@ -7,7 +7,6 @@ randomized, so where a record holds a sealed envelope the test swaps in
 the literal ``ENVELOPE`` before encoding.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -288,7 +287,7 @@ def test_upload_skylink_and_core(uploaded):
 
 def test_full_manifest(uploaded):
     _, _, manifest = uploaded
-    pinned = dataclasses.replace(manifest, encrypted_file_key=ENVELOPE)
+    pinned = manifest.replace(encrypted_file_key=ENVELOPE)
     assert pinned.to_bytes().hex() == GOLDEN_MANIFEST
     assert FileManifest.from_bytes(bytes.fromhex(GOLDEN_MANIFEST)) == pinned
 
@@ -297,7 +296,7 @@ def test_chunk_record(uploaded):
     _, _, manifest = uploaded
     record = manifest.chunk_records[0]
     assert record.host_ids == ("h0", "h1", "h3")
-    full = dataclasses.replace(manifest, encrypted_file_key=ENVELOPE).to_bytes()
+    full = manifest.replace(encrypted_file_key=ENVELOPE).to_bytes()
     assert unpack_fields(full)[4].hex() == GOLDEN_CHUNK_RECORD
 
 
@@ -376,7 +375,7 @@ def test_secret_block():
         encrypted_content_info=ENVELOPE,
         license_info=lic.license_hash,
     )
-    block = dataclasses.replace(block, block_hash=block.compute_hash())
+    block = block.replace(block_hash=block.compute_hash())
     assert block.to_bytes().hex() == GOLDEN_SECRET
     assert SecretBlock.from_bytes(bytes.fromhex(GOLDEN_SECRET)) == block
 

@@ -1,6 +1,5 @@
 """HLS packager: segmentation, AES-128-CBC, playlist grammar, disk layout."""
 
-import dataclasses
 
 import pytest
 from conftest import openssl_aes128_cbc_decrypt, requires_openssl
@@ -100,8 +99,7 @@ class TestUnpackage:
 
     def test_missing_segment(self, rng):
         pkg = package(rng.randbytes(50_000), KEY, segment_bytes=10_000)
-        gutted = dataclasses.replace(
-            pkg, segments=tuple(s for s in pkg.segments if s.name != "seg1.ts"))
+        gutted = pkg.replace(segments=tuple(s for s in pkg.segments if s.name != "seg1.ts"))
         with pytest.raises(MissingSegment) as err:
             unpackage(gutted, KEY)
         assert err.value.segment == "seg1.ts"
@@ -110,10 +108,9 @@ class TestUnpackage:
         pkg = package(rng.randbytes(50_000), KEY, segment_bytes=10_000)
         segments = list(pkg.segments)
         # Truncation breaks block alignment, always detected.
-        segments[2] = dataclasses.replace(
-            segments[2], ciphertext=segments[2].ciphertext[:-1])
+        segments[2] = segments[2].replace(ciphertext=segments[2].ciphertext[:-1])
         with pytest.raises(PaddingError):
-            unpackage(dataclasses.replace(pkg, segments=tuple(segments)), KEY)
+            unpackage(pkg.replace(segments=tuple(segments)), KEY)
 
     def test_segment_independence(self, rng):
         # Any single segment decrypts alone given its sequence IV.
@@ -124,9 +121,8 @@ class TestUnpackage:
 
     def test_malformed_playlist_rejected(self, rng):
         pkg = package(rng.randbytes(1000), KEY)
-        broken = dataclasses.replace(
-            pkg, media_playlist=pkg.media_playlist.replace(
-                "#EXT-X-ENDLIST\n", ""))
+        broken = pkg.replace(
+            media_playlist=pkg.media_playlist.replace("#EXT-X-ENDLIST\n", ""))
         with pytest.raises(MalformedPlaylist):
             unpackage(broken, KEY)
 

@@ -1,6 +1,5 @@
 """Ledger: transaction admission, proof-of-work mining, chain verification."""
 
-import dataclasses
 
 import pytest
 
@@ -95,7 +94,7 @@ class TestSubmit:
 
     def test_forged_signature_rejected(self, chain, clock):
         tx = sample_tx(clock)
-        forged = dataclasses.replace(tx, signature=bytes(64))
+        forged = tx.replace(signature=bytes(64))
         with pytest.raises(BadSignature):
             chain.submit(forged, PROVIDER.public_key)
 
@@ -113,7 +112,7 @@ class TestSubmit:
 
     def test_tampered_tx_id_rejected(self, chain, clock):
         tx = sample_tx(clock)
-        bad = dataclasses.replace(tx, tx_id=digest(b"something else"))
+        bad = tx.replace(tx_id=digest(b"something else"))
         with pytest.raises(MalformedTransaction):
             chain.submit(bad, PROVIDER.public_key)
 
@@ -201,9 +200,8 @@ class TestVerify:
     def test_mutated_tx_id_located(self, clock):
         chain = mined_chain(clock)
         block = chain.blocks[3]
-        bad_tx = dataclasses.replace(block.transactions[0],
-                                     tx_id=digest(b"mutant"))
-        chain.blocks[3] = dataclasses.replace(block, transactions=(bad_tx,))
+        bad_tx = block.transactions[0].replace(tx_id=digest(b"mutant"))
+        chain.blocks[3] = block.replace(transactions=(bad_tx,))
         assert chain.verify() == 3
 
     def test_swapped_blocks_located(self, clock):
@@ -213,14 +211,12 @@ class TestVerify:
 
     def test_bumped_nonce_located(self, clock):
         chain = mined_chain(clock)
-        chain.blocks[1] = dataclasses.replace(
-            chain.blocks[1], nonce=chain.blocks[1].nonce + 1)
+        chain.blocks[1] = chain.blocks[1].replace(nonce=chain.blocks[1].nonce + 1)
         assert chain.verify() == 1
 
     def test_rewritten_prev_hash_located(self, clock):
         chain = mined_chain(clock)
-        chain.blocks[4] = dataclasses.replace(
-            chain.blocks[4], prev_hash=b"\xaa" * 32)
+        chain.blocks[4] = chain.blocks[4].replace(prev_hash=b"\xaa" * 32)
         assert chain.verify() == 4
 
 
@@ -324,18 +320,18 @@ class TestSerialization:
 
     def test_stale_tx_id_rejected_behind_good_checksum(self, clock):
         tx = sample_tx(clock)
-        forged = dataclasses.replace(tx, timestamp=tx.timestamp + 1)
+        forged = tx.replace(timestamp=tx.timestamp + 1)
         with pytest.raises(ValueError, match="transaction id"):
             Transaction.from_bytes(forged.to_bytes())
         block = mined_chain(clock, n_blocks=1).blocks[0]
-        forged_block = dataclasses.replace(block, transactions=(forged,))
+        forged_block = block.replace(transactions=(forged,))
         with pytest.raises(ChainCorrupt, match="transaction id"):
             parse_chain(serialize_chain(Chain(blocks=[forged_block])))
 
     def test_stale_tx_root_rejected_behind_good_checksum(self, clock):
         block = mined_chain(clock, n_blocks=1).blocks[0]
-        forged = dataclasses.replace(block, tx_root=digest(b"another root"))
-        forged = dataclasses.replace(forged, block_hash=digest(forged.header_bytes()))
+        forged = block.replace(tx_root=digest(b"another root"))
+        forged = forged.replace(block_hash=digest(forged.header_bytes()))
         with pytest.raises(ChainCorrupt, match="tx_root"):
             parse_chain(serialize_chain(Chain(blocks=[forged])))
 
@@ -371,7 +367,7 @@ class TestSerialization:
 
     def test_stale_block_hash_rejected_behind_good_checksum(self, clock):
         block = mined_chain(clock, n_blocks=1).blocks[0]
-        forged = dataclasses.replace(block, nonce=block.nonce + 1)
+        forged = block.replace(nonce=block.nonce + 1)
         with pytest.raises(ValueError, match="block hash"):
             Block.from_bytes(forged.to_bytes())
         with pytest.raises(ChainCorrupt, match="block hash"):

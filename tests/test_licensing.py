@@ -1,6 +1,5 @@
 """Licensing: issuance, rule evaluation, secret blocks, purchase flow."""
 
-import dataclasses
 import json
 
 import pytest
@@ -140,16 +139,15 @@ class TestIssueLicense:
         # License integrity: single-field changes never collide.
         lic = sample_license(account, max_uses=4)
         variants = [
-            dataclasses.replace(lic, license_id=bytes(16)),
-            dataclasses.replace(lic, consumer_id="mallory-rival"),
-            dataclasses.replace(lic, consumer_public_key=bytes(32)),
-            dataclasses.replace(lic, content_id=digest(b"other content")),
-            dataclasses.replace(lic, enveloped_content_key=dataclasses.replace(
-                lic.enveloped_content_key, nonce=bytes(12))),
-            dataclasses.replace(lic, key_rules=window(max_uses=5)),
-            dataclasses.replace(lic, rights=Rights(frozenset({ACTION_STREAM}))),
-            dataclasses.replace(lic, consumer_fingerprint=digest(b"x")),
-            dataclasses.replace(lic, issued_at=lic.issued_at + 1),
+            lic.replace(license_id=bytes(16)),
+            lic.replace(consumer_id="mallory-rival"),
+            lic.replace(consumer_public_key=bytes(32)),
+            lic.replace(content_id=digest(b"other content")),
+            lic.replace(enveloped_content_key=lic.enveloped_content_key.replace(nonce=bytes(12))),
+            lic.replace(key_rules=window(max_uses=5)),
+            lic.replace(rights=Rights(frozenset({ACTION_STREAM}))),
+            lic.replace(consumer_fingerprint=digest(b"x")),
+            lic.replace(issued_at=lic.issued_at + 1),
         ]
         hashes = {v.compute_hash().value for v in variants}
         assert len(hashes) == len(variants)
@@ -226,10 +224,9 @@ class TestCheckRights:
 
     def test_redeem_tampered_envelope(self, account):
         lic = sample_license(account)
-        bad_env = dataclasses.replace(
-            lic.enveloped_content_key,
+        bad_env = lic.enveloped_content_key.replace(
             ciphertext=bytes(len(lic.enveloped_content_key.ciphertext)))
-        bad = dataclasses.replace(lic, enveloped_content_key=bad_env)
+        bad = lic.replace(enveloped_content_key=bad_env)
         with pytest.raises(OpenFailed):
             redeem_license(CONSUMER.private_key, bad, ACTION_STREAM, NOW)
 

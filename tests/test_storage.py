@@ -1,6 +1,5 @@
 """Storage network: chunking, encryption, replication, skylinks, failover."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -306,8 +305,7 @@ class TestTamperDetection:
                                                       rng, monkeypatch):
         # Every chunk passes its own check, in the wrong order.
         link, manifest = upload(rng.randbytes(3000), network, uploader, chunk_size=1024)
-        reordered = dataclasses.replace(
-            manifest, chunk_records=manifest.chunk_records[::-1])
+        reordered = manifest.replace(chunk_records=manifest.chunk_records[::-1])
         monkeypatch.setattr(network, "lookup", lambda _: reordered)
         with pytest.raises(IntegrityFailure) as err:
             download(link, network, uploader.private_key)
