@@ -69,9 +69,10 @@ def with_world(fn):
     return wrapper
 
 
-def _open_out(path, write=functools.partial(open, mode="wb")):
-    """``write(path)``, by default PATH opened for writing; a PATH that
-    cannot be written is ``OutputUnwritable``."""
+def _open_out(path, write=lambda path: open(path, "wb")):
+    """``write(path)``, by default PATH opened for writing (``open`` is
+    looked up at the call, so a replaced ``cli.open`` is used); a PATH
+    that cannot be written is ``OutputUnwritable``."""
     try:
         return write(path)
     except OSError as exc:

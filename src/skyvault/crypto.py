@@ -74,7 +74,12 @@ class Digest(Record):
 
     @classmethod
     def from_hex(cls, text: str) -> "Digest":
-        return cls(bytes.fromhex(text))
+        """The digest whose ``hex`` is TEXT; any other text (upper case,
+        spaces, another length) is a ValueError."""
+        value = bytes.fromhex(text)
+        if value.hex() != text:
+            raise ValueError(f"not a lower-case hex digest: {text!r}")
+        return cls(value)
 
 
 class KeyPair(Record):

@@ -1,11 +1,14 @@
 """CLI gateway: the full operator workflow, persisted between invocations."""
 
 import contextlib
+import gc
 import hashlib
+import importlib
 import itertools
 import json
 import os
 import re
+import runpy
 import select
 import shlex
 import shutil
@@ -24,7 +27,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import file_stats, files_written
 
-from skyvault import ledger
+from skyvault import cli, ledger
 from skyvault.cli import main
 from skyvault.crypto import Envelope, derive_credential, generate_keypair
 from skyvault.hls import read_package, unpackage
@@ -342,6 +345,25 @@ class TestDamagedState:
         error = self.refused(runner, root, "host", "list")
         assert error["error"] == "state_corrupt"
         assert "bob-viewer.json does not match its record" in error["message"]
+
+    @pytest.mark.parametrize("where", ["fragment-name", "verifier"])
+    def test_digest_text_not_as_written(self, runner, purchased, tmp_path, where):
+        # Digest text decoded through bytes.fromhex took upper case and
+        # spaces: a copy of a fragment named "c2 B682..." beside its
+        # canonical file was loaded as that fragment, and host list
+        # exited 0.
+        root = _copy(purchased, tmp_path)
+        if where == "fragment-name":
+            fragment = min((root / "hosts").glob("h*/[0-9a-f]*"))
+            damaged = fragment.with_name(f"{fragment.name[:2]} {fragment.name[2:].upper()}")
+            shutil.copy(fragment, damaged)
+        else:
+            damaged = root / "accounts" / "alice-consumer.json"
+            account = json.loads(damaged.read_text())
+            damaged.write_text(json.dumps({**account, "verifier": account["verifier"].upper()}))
+        error = self.refused(runner, root, "host", "list")
+        assert error["error"] == "state_corrupt"
+        assert damaged.name in error["message"]
 
 
 class TestPublish:
@@ -801,6 +823,28 @@ class TestPlaySpend:
         assert not (tmp_path / "o.bin").exists()
 
 
+class TestOutputFiles:
+    def test_written_through_the_modules_open(self, runner, purchased, tmp_path,
+                                              monkeypatch):
+        # A default of functools.partial(open, ...) bound the builtin when
+        # cli was imported, so a replaced cli.open never saw these writes.
+        root = _copy(purchased, tmp_path)
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        run(runner, root, "play", purchased.skylink, str(tmp_path / "played.bin"))
+        run(runner, root, "hls-package", str(purchased.small), str(tmp_path / "hls"),
+            "--key-out", str(tmp_path / "movie.key"))
+        run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+        run(runner, root, "download", purchased.skylink, str(tmp_path / "got.bin"))
+        assert {"played.bin", "movie.key", "got.bin"} <= set(opened)
+        assert (tmp_path / "got.bin").read_bytes() == purchased.media
+
+
 class TestBadInput:
     """Bad input ends in one JSON error with exit 1, or in a usage error
     naming the option with exit 2; never in a traceback."""
@@ -1008,6 +1052,36 @@ class TestColdStart:
             "cli", "state", "storage", "crypto", "ledger", "licensing",
             "identity", "service", "hls")}
         assert layers <= loaded
+
+    def test_cli_import_freezes_nothing(self):
+        # Tests, embedders and the in-process replay import the CLI; only
+        # the process entry point may change the importer's collector.
+        code = "import gc, skyvault.cli; print(gc.get_freeze_count())"
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_package_as_main_freezes_the_import_heap(self, monkeypatch, capsys):
+        # Then the full collections at interpreter shutdown skip what the
+        # imports built.
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(sys, "argv", ["skyvault", "--help"])
+        try:
+            with pytest.raises(SystemExit) as exit:
+                runpy.run_module("skyvault", run_name="__main__")
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert exit.value.code == 0
+        assert frozen > 0
+        assert "verify-chain" in capsys.readouterr().out
+
+    def test_script_runs_the_package_entry_point(self):
+        from skyvault.__main__ import run as entry_point
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, function = re.search(r'^skyvault = "([\w.]+):(\w+)"$', pyproject,
+                                     re.MULTILINE).groups()
+        assert getattr(importlib.import_module(module), function) is entry_point
 
 
 def _post(url: str, payload: dict) -> dict:

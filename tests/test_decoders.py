@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skyvault.crypto import Envelope, digest, generate_keypair
+from skyvault.crypto import Digest, Envelope, digest, generate_keypair
 from skyvault.errors import InvalidToken, SkyVaultError
 from skyvault.hls import (
     Rendition,
@@ -311,6 +311,23 @@ def test_b64u_decode(text):
                  st.text(max_size=50)))
 def test_skylink_digest(text):
     round_trips(lambda t: SkyLink(t).digest(), lambda d: SkyLink.from_digest(d).text, text)
+
+
+HEX_DIGIT = "0123456789abcdefABCDEF "
+
+
+@PROPERTY
+@example("AB" * 32)  # upper case
+@example(" ".join(["ab"] * 32))  # spaces
+@given(st.one_of(
+    st.binary(min_size=32, max_size=32).map(bytes.hex),
+    # A valid digest text with one character replaced, dropped or inserted.
+    st.tuples(st.binary(min_size=32, max_size=32).map(bytes.hex), st.integers(0, 63),
+              st.sampled_from(HEX_DIGIT), st.integers(0, 2)).map(
+        lambda t: t[0][:t[1]] + (t[2], "", t[2] + t[0][t[1]])[t[3]] + t[0][t[1] + 1:]),
+    st.text(HEX_DIGIT, max_size=70)))
+def test_digest_from_hex(text):
+    round_trips(Digest.from_hex, lambda d: d.hex, text)
 
 
 CONFIG_NAMES = list(Config.FIELDS)
