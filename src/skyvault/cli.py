@@ -24,7 +24,7 @@ import click
 from .crypto import Digest, derive_credential, generate_keypair
 from .errors import (BindFailed, ChainInvalid, NotAuthenticated, OutputUnwritable,
                      RightsDenied, SkyVaultError, UnknownAction, UnknownLicense)
-from .hls import DEFAULT_KEY_URI, master_playlist, package, write_package, Rendition
+from .hls import DEFAULT_KEY_URI, package, write_package
 from .identity import solve_challenge
 from .ledger import append_block
 from .licensing import (
@@ -271,12 +271,6 @@ def play(world, skylink, out, action):
     click.echo(f"Played {skylink} ({len(data)} bytes, uses: {uses})")
 
 
-def _bandwidths(ctx, param, value):
-    """--bandwidths as a list of positive ints (None when not given)."""
-    if value:
-        return [click.IntRange(min=1).convert(text, param, ctx) for text in value.split(",")]
-
-
 @main.command("hls-package")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("outdir", type=click.Path(file_okay=False))
@@ -284,10 +278,8 @@ def _bandwidths(ctx, param, value):
               help="Key URI for the playlist.")
 @click.option("--key-out", type=click.Path(dir_okay=False), default=None,
               help="Write the key here; must not live inside OUTDIR.")
-@click.option("--bandwidths", callback=_bandwidths,
-              help="Comma-separated bits/s to also emit a master playlist.")
 @with_world
-def hls_package(world, file, outdir, key_uri, key_out, bandwidths):
+def hls_package(world, file, outdir, key_uri, key_out):
     """Encrypt FILE into HLS segments of the state's segment_bytes (set by
     init) plus an M3U8 playlist in OUTDIR."""
     if key_out and Path(outdir).resolve() in Path(key_out).resolve().parents:
@@ -297,13 +289,10 @@ def hls_package(world, file, outdir, key_uri, key_out, bandwidths):
     key = os.urandom(16)
     pkg = package(media, key, segment_bytes=world.config.segment_bytes,
                   key_uri=key_uri)
-    master = None
-    if bandwidths:
-        master = master_playlist([Rendition(b, "playlist.m3u8") for b in bandwidths])
     if key_out:  # first: a package whose key was lost could never be played
         with _open_out(key_out) as handle:
             handle.write(key)
-    _open_out(outdir, lambda out: write_package(pkg, out, master=master))
+    _open_out(outdir, lambda out: write_package(pkg, out))
     click.echo(f"Packaged {len(pkg.segments)} segments into {outdir}")
 
 

@@ -39,7 +39,7 @@ from .errors import (
     EmptyPassword,
     OpenFailed,
 )
-from .wire import Record, pack_fields, unpack_fields
+from .wire import Record, hex_decode, pack_fields, unpack_fields
 
 DIGEST_SIZE = 32
 KEY_SIZE = 32
@@ -76,10 +76,7 @@ class Digest(Record):
     def from_hex(cls, text: str) -> "Digest":
         """The digest whose ``hex`` is TEXT; any other text (upper case,
         spaces, another length) is a ValueError."""
-        value = bytes.fromhex(text)
-        if value.hex() != text:
-            raise ValueError(f"not a lower-case hex digest: {text!r}")
-        return cls(value)
+        return cls(hex_decode(text))
 
 
 class KeyPair(Record):

@@ -232,14 +232,6 @@ class MalformedPlaylist(SkyVaultError):
     code = "malformed_playlist"
 
 
-class NoRenditions(SkyVaultError):
-    code = "no_renditions"
-
-
-class DuplicateBandwidth(SkyVaultError):
-    code = "duplicate_bandwidth"
-
-
 # -- state / cli -------------------------------------------------------------
 
 class BadConfig(SkyVaultError):

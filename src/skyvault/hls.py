@@ -18,10 +18,6 @@ playlists, plus ordering):
   URI line; durations rounded to the nearest integer never exceed the
   target duration;
 * ``#EXT-X-ENDLIST`` is present and nothing but blank lines follow it.
-
-Master playlists require ``#EXTM3U`` plus at least one
-``#EXT-X-STREAM-INF:BANDWIDTH=<n>`` line followed by its media playlist
-URI, bandwidths strictly increasing.
 """
 
 from __future__ import annotations
@@ -36,11 +32,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import (
     BadKeyLength,
-    DuplicateBandwidth,
     EmptyMedia,
     MalformedPlaylist,
     MissingSegment,
-    NoRenditions,
     PaddingError,
 )
 from .wire import Record
@@ -64,16 +58,6 @@ class HlsPackage(Record):
     segments: tuple[Segment, ...]
     key_uri: str
     key: Optional[bytes]
-
-
-class Rendition(Record):
-    bandwidth: int
-    media_playlist_name: str
-
-
-class MasterPlaylist(Record):
-    text: str
-    renditions: tuple[Rendition, ...]
 
 
 def sequence_iv(sequence: int) -> bytes:
@@ -151,22 +135,6 @@ def unpackage(pkg: HlsPackage, key: bytes) -> bytes:
         sequence = parsed.media_sequence + position
         parts.append(decrypt_segment(key, sequence, by_name[name]))
     return b"".join(parts)
-
-
-def master_playlist(renditions: list[Rendition]) -> MasterPlaylist:
-    """Emit the top-level ABR playlist, lowest bandwidth first."""
-    if not renditions:
-        raise NoRenditions("a master playlist needs at least one rendition")
-    bandwidths = [r.bandwidth for r in renditions]
-    if len(set(bandwidths)) != len(bandwidths):
-        dupe = next(b for b in bandwidths if bandwidths.count(b) > 1)
-        raise DuplicateBandwidth(f"bandwidth {dupe} listed twice")
-    ordered = tuple(sorted(renditions, key=lambda r: r.bandwidth))
-    lines = ["#EXTM3U", "#EXT-X-VERSION:3"]
-    for rendition in ordered:
-        lines.append(f"#EXT-X-STREAM-INF:BANDWIDTH={rendition.bandwidth}")
-        lines.append(rendition.media_playlist_name)
-    return MasterPlaylist(text="\n".join(lines) + "\n", renditions=ordered)
 
 
 class ParsedMediaPlaylist(Record):
@@ -261,51 +229,16 @@ def validate_media_playlist(text: str) -> ParsedMediaPlaylist:
         key_method=key_method, key_uri=key_uri, segments=tuple(segments))
 
 
-def validate_master_playlist(text: str) -> tuple[Rendition, ...]:
-    """Parse and check the master-playlist grammar; raises MalformedPlaylist."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != "#EXTM3U":
-        raise MalformedPlaylist("first line must be #EXTM3U")
-    renditions: list[Rendition] = []
-    pending_bandwidth: Optional[int] = None
-    for line in lines[1:]:
-        if line.startswith("#EXT-X-STREAM-INF:"):
-            if pending_bandwidth is not None:
-                raise MalformedPlaylist("STREAM-INF without a following URI")
-            match = re.search(r"BANDWIDTH=(\d+)", line)
-            if not match:
-                raise MalformedPlaylist(f"STREAM-INF missing BANDWIDTH: {line!r}")
-            pending_bandwidth = int(match.group(1))
-        elif line.startswith("#"):
-            continue
-        else:
-            if pending_bandwidth is None:
-                raise MalformedPlaylist(f"URI without preceding STREAM-INF: {line!r}")
-            renditions.append(Rendition(pending_bandwidth, line))
-            pending_bandwidth = None
-    if pending_bandwidth is not None:
-        raise MalformedPlaylist("trailing STREAM-INF without URI")
-    if not renditions:
-        raise MalformedPlaylist("master playlist lists no renditions")
-    bandwidths = [r.bandwidth for r in renditions]
-    if bandwidths != sorted(bandwidths) or len(set(bandwidths)) != len(bandwidths):
-        raise MalformedPlaylist("bandwidths must be strictly increasing")
-    return tuple(renditions)
-
-
 PLAYLIST_FILENAME = "playlist.m3u8"
-MASTER_FILENAME = "master.m3u8"
 
 
-def write_package(pkg: HlsPackage, outdir, master: MasterPlaylist | None = None):
+def write_package(pkg: HlsPackage, outdir):
     """Lay the package out on disk; the key is deliberately not written."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / PLAYLIST_FILENAME).write_text(pkg.media_playlist, encoding="utf-8")
     for segment in pkg.segments:
         (out / segment.name).write_bytes(segment.ciphertext)
-    if master is not None:
-        (out / MASTER_FILENAME).write_text(master.text, encoding="utf-8")
 
 
 def read_package(outdir, key: bytes | None = None) -> HlsPackage:

@@ -30,9 +30,9 @@ keeps the record's fields. The build turns checked fields into a
 ``Block.from_bytes`` is both steps. Loading a chain file checks every
 record (with its length and checksum) and keeps only the checked fields,
 the height, the tip hash and the set of seen tx ids: any defect fails the
-load as ``ChainCorrupt``. The ``Block``s are built the first time
-``Chain.blocks`` is read (``verify``, ``find``, ``serialize_chain``);
-``height``, ``tip_hash``, ``submit`` and ``mine`` build none.
+load as ``ChainCorrupt``; ``verify`` reuses the checked fields. The
+``Block``s are built the first time ``Chain.blocks`` is read (``find``,
+``serialize_chain``); no other method builds one.
 """
 
 from __future__ import annotations
@@ -313,23 +313,29 @@ class Chain:
     def verify(self) -> Optional[int]:
         """None when every block checks out, else the first bad height.
 
-        Per block: contiguous height, linkage to the previous hash,
-        header hash recomputation, difficulty, and tx_root
-        recomputation. Needs no secret data and no signatures.
+        A loaded record passed ``_check_block`` at load; a block built or
+        mined in memory is checked here, from its bytes. Over those checked
+        fields, per block: contiguous height, linkage to the previous hash
+        and difficulty. Builds no block; needs no secrets or signatures.
         """
         prev_hash = GENESIS_PREV_HASH
-        for i, block in enumerate(self.blocks):
-            ok = (
-                block.height == i
-                and block.prev_hash == prev_hash
-                and digest(block.header_bytes()) == block.block_hash
-                and leading_zero_bits(block.block_hash.value) >= self.difficulty_bits
-                and compute_tx_root(block.tx_ids) == block.tx_root
-            )
-            if not ok:
+        for i, header in enumerate(self._checked_headers()):
+            if (header is None or read_u64(header[0]) != i or header[1] != prev_hash
+                    or leading_zero_bits(header[5]) < self.difficulty_bits):
                 return i
-            prev_hash = block.block_hash.value
+            prev_hash = header[5]
         return None
+
+    def _checked_headers(self):
+        """Each block's header and hash fields as ``_check_block`` returns
+        them, oldest first; None for a block whose record fails it."""
+        for header, _ in self._unbuilt:
+            yield header
+        for block in self._blocks:
+            try:
+                yield _check_block(block.to_bytes())[0]
+            except ValueError:
+                yield None
 
     def find(self, tx_id: Digest) -> tuple[int, int]:
         """(height, position) of a mined transaction."""

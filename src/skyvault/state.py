@@ -85,7 +85,7 @@ from .ledger import DEFAULT_DIFFICULTY_BITS, MAX_DIFFICULTY_BITS, Chain, load_ch
 from .licensing import License, consumer_fingerprint
 from .storage import (DEFAULT_CHUNK_SIZE, DEFAULT_REPLICATION, FileManifest,
                       Host, SkyLink, StorageNetwork)
-from .wire import Record, b64u, b64u_decode
+from .wire import Record, b64u, b64u_decode, hex_decode
 
 T = TypeVar("T")
 
@@ -434,7 +434,7 @@ def _read_license(path: Path) -> License:
 
 
 def _decode_license(name: str, payload: dict) -> License:
-    license = License.from_canonical_bytes(bytes.fromhex(payload["license"]))
+    license = License.from_canonical_bytes(hex_decode(payload["license"]))
     if name != _license_filename(license):
         # Lookups trust the name, so a record filed under another name
         # (say, another consumer's fingerprint) is refused.

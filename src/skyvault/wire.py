@@ -107,6 +107,15 @@ def b64u_decode(text: str) -> bytes:
     return data
 
 
+def hex_decode(text: str) -> bytes:
+    """Strict inverse of ``bytes.hex``: only the lower-case digit pairs it
+    writes are accepted, so upper case and spaces are rejected."""
+    data = bytes.fromhex(text)
+    if data.hex() != text:
+        raise ValueError("not lower-case hex")
+    return data
+
+
 _REQUIRED = object()  # the FIELDS default of a field that has none
 
 

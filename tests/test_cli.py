@@ -365,6 +365,18 @@ class TestDamagedState:
         assert error["error"] == "state_corrupt"
         assert damaged.name in error["message"]
 
+    def test_license_hex_not_as_written(self, runner, purchased, tmp_path):
+        # Decoded through bytes.fromhex, an upper-cased license loaded as
+        # the record it spells, and play spent a use of it.
+        root = _copy(purchased, tmp_path)
+        [path] = (root / "licenses").iterdir()
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "license": payload["license"].upper()}))
+        error = self.refused(runner, root, "play", purchased.skylink, str(tmp_path / "o.bin"))
+        assert error["error"] == "state_corrupt"
+        assert path.name in error["message"]
+        assert not (tmp_path / "o.bin").exists()
+
 
 class TestPublish:
     def test_only_the_uploader_lists_a_skylink_once(self, runner, root, tmp_path):
@@ -400,14 +412,14 @@ class TestHlsCommand:
         outdir = tmp_path / "hls"
         keyfile = tmp_path / "movie.key"
         result = run(runner, root, "hls-package", str(src), str(outdir),
-                     "--key-out", str(keyfile),
-                     "--bandwidths", "800000,2400000")
+                     "--key-out", str(keyfile))
         assert "Packaged 3 segments" in result.output
         key = keyfile.read_bytes()
         assert len(key) == 16
         pkg = read_package(outdir)
         assert unpackage(pkg, key) == media
-        assert (outdir / "master.m3u8").exists()
+        assert sorted(path.name for path in outdir.iterdir()) == [
+            "playlist.m3u8", "seg0.ts", "seg1.ts", "seg2.ts"]
         # Key must not be written anywhere inside the package directory.
         for path in outdir.iterdir():
             assert key not in path.read_bytes()
@@ -675,7 +687,7 @@ class TestActingAccount:
         def options(command):
             return (sum(isinstance(param, click.Option) for param in command.params)
                     + sum(options(sub) for sub in getattr(command, "commands", {}).values()))
-        assert options(main) == 19
+        assert options(main) == 18
 
 
 class TestFileModes:
@@ -854,10 +866,6 @@ class TestBadInput:
                               1, "invalid_rules"),
         "bind without a port": (["serve", "--bind", "nonsense"], 2, "--bind"),
         "bind port out of range": (["serve", "--bind", "127.0.0.1:99999"], 2, "--bind"),
-        "bandwidths not numbers": (["hls-package", "{media}", "{tmp}/hls",
-                                    "--bandwidths", "abc"], 2, "--bandwidths"),
-        "bandwidth zero": (["hls-package", "{media}", "{tmp}/hls",
-                            "--bandwidths", "800000,0"], 2, "--bandwidths"),
         "download into a missing directory": (
             ["download", "{skylink}", "{tmp}/missing/x"], 1, "output_unwritable"),
         "key-out into a missing directory": (
@@ -935,7 +943,8 @@ class TestErrorOutput:
 
 class TestBlocksBuiltOnRead:
     """Every command loads and checks the whole chain, but builds a
-    ``Block`` only for the blocks it reads."""
+    ``Block`` only for the blocks it reads. ``verify-chain`` reads the
+    fields the load checked and builds none."""
 
     def test_commands_build_only_the_blocks_they_read(self, runner, purchased, tmp_path,
                                                        monkeypatch):
@@ -956,7 +965,7 @@ class TestBlocksBuiltOnRead:
             (["buy", purchased.skylink], [3]),  # the block it mines
             (["play", purchased.skylink, out], []),
             (["host", "list"], []),
-            (["verify-chain"], [0, 1, 2, 3]),  # each stored block, once
+            (["verify-chain"], []),
         ]:
             built.clear()
             run(runner, root, *args)

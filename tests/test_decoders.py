@@ -24,13 +24,7 @@ from hypothesis import strategies as st
 
 from skyvault.crypto import Digest, Envelope, digest, generate_keypair
 from skyvault.errors import InvalidToken, SkyVaultError
-from skyvault.hls import (
-    Rendition,
-    master_playlist,
-    package,
-    validate_master_playlist,
-    validate_media_playlist,
-)
+from skyvault.hls import package, validate_media_playlist
 from skyvault.ledger import (
     Block,
     Chain,
@@ -316,6 +310,12 @@ def test_skylink_digest(text):
 HEX_DIGIT = "0123456789abcdefABCDEF "
 
 
+def _edit_char(text: str, i: int, char: str, how: int) -> str:
+    """TEXT with its character at I replaced by CHAR (HOW 0), dropped (1),
+    or with CHAR inserted before it (2)."""
+    return text[:i] + (char, "", char + text[i])[how] + text[i + 1:]
+
+
 @PROPERTY
 @example("AB" * 32)  # upper case
 @example(" ".join(["ab"] * 32))  # spaces
@@ -323,11 +323,24 @@ HEX_DIGIT = "0123456789abcdefABCDEF "
     st.binary(min_size=32, max_size=32).map(bytes.hex),
     # A valid digest text with one character replaced, dropped or inserted.
     st.tuples(st.binary(min_size=32, max_size=32).map(bytes.hex), st.integers(0, 63),
-              st.sampled_from(HEX_DIGIT), st.integers(0, 2)).map(
-        lambda t: t[0][:t[1]] + (t[2], "", t[2] + t[0][t[1]])[t[3]] + t[0][t[1] + 1:]),
+              st.sampled_from(HEX_DIGIT), st.integers(0, 2)).map(lambda t: _edit_char(*t)),
     st.text(HEX_DIGIT, max_size=70)))
 def test_digest_from_hex(text):
     round_trips(Digest.from_hex, lambda d: d.hex, text)
+
+
+LICENSE_HEX = LICENSE.canonical_bytes().hex()
+
+
+@PROPERTY
+@example(LICENSE_HEX.upper())  # loaded as LICENSE
+@example(f"{LICENSE_HEX[:2]} {LICENSE_HEX[2:]}")  # a space
+@given(st.tuples(st.just(LICENSE_HEX), st.integers(0, len(LICENSE_HEX) - 1),
+                 st.sampled_from(HEX_DIGIT), st.integers(0, 2)).map(lambda t: _edit_char(*t)))
+def test_license_file_hex(text):
+    round_trips(lambda hex_text: _decode_license(_license_filename(LICENSE),
+                                                 {"license": hex_text, "uses_consumed": 0}),
+                lambda license: license.canonical_bytes().hex(), text)
 
 
 CONFIG_NAMES = list(Config.FIELDS)
@@ -395,22 +408,6 @@ def _render_media(parsed) -> str:
 @given(_line_edits(VALID_MEDIA, MEDIA_LINES))
 def test_validate_media_playlist(text):
     value_round_trips(validate_media_playlist, _render_media, text)
-
-
-MASTER_LINES = st.one_of(
-    st.sampled_from(["#EXTM3U", "#EXT-X-VERSION:3", "#EXT-X-STREAM-INF:", "low.m3u8",
-                     "hi.m3u8", ""]),
-    NUMBERS.map(lambda n: f"#EXT-X-STREAM-INF:BANDWIDTH={n}"),
-    st.text(max_size=12),
-)
-
-
-@PROPERTY
-@given(_line_edits(master_playlist([Rendition(800_000, "low.m3u8"),
-                                    Rendition(2_400_000, "hi.m3u8")]).text, MASTER_LINES))
-def test_validate_master_playlist(text):
-    value_round_trips(validate_master_playlist,
-                      lambda renditions: master_playlist(list(renditions)).text, text)
 
 
 # -- JSON state files ---------------------------------------------------------

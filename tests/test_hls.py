@@ -6,24 +6,19 @@ from conftest import openssl_aes128_cbc_decrypt, requires_openssl
 
 from skyvault.errors import (
     BadKeyLength,
-    DuplicateBandwidth,
     EmptyMedia,
     MalformedPlaylist,
     MissingSegment,
-    NoRenditions,
     PaddingError,
 )
 from skyvault.hls import (
     HlsPackage,
-    Rendition,
     decrypt_segment,
     encrypt_segment,
-    master_playlist,
     package,
     read_package,
     sequence_iv,
     unpackage,
-    validate_master_playlist,
     validate_media_playlist,
     write_package,
 )
@@ -148,27 +143,6 @@ class TestCipherOracle:
         assert recovered == media
 
 
-class TestMasterPlaylist:
-    def test_two_renditions_sorted(self):
-        master = master_playlist([Rendition(2_400_000, "hi.m3u8"),
-                                  Rendition(800_000, "low.m3u8")])
-        lines = master.text.splitlines()
-        inf_lines = [l for l in lines if l.startswith("#EXT-X-STREAM-INF:")]
-        assert inf_lines == ["#EXT-X-STREAM-INF:BANDWIDTH=800000",
-                             "#EXT-X-STREAM-INF:BANDWIDTH=2400000"]
-        assert lines[lines.index(inf_lines[0]) + 1] == "low.m3u8"
-        assert validate_master_playlist(master.text) == master.renditions
-
-    def test_no_renditions(self):
-        with pytest.raises(NoRenditions):
-            master_playlist([])
-
-    def test_duplicate_bandwidth(self):
-        with pytest.raises(DuplicateBandwidth):
-            master_playlist([Rendition(800_000, "a.m3u8"),
-                             Rendition(800_000, "b.m3u8")])
-
-
 class TestPlaylistGrammar:
     def good(self):
         return package(b"0123" * 100, KEY, segment_bytes=64).media_playlist
@@ -201,28 +175,16 @@ class TestPlaylistGrammar:
         text = self.good().replace("#EXT-X-VERSION:3\n", "#EXT-X-VERSION:3\n\n")
         validate_media_playlist(text)
 
-    def test_master_grammar_rejects_unsorted(self):
-        text = ("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=900\nhi.m3u8\n"
-                "#EXT-X-STREAM-INF:BANDWIDTH=100\nlow.m3u8\n")
-        with pytest.raises(MalformedPlaylist):
-            validate_master_playlist(text)
-
-    def test_master_grammar_rejects_missing_uri(self):
-        with pytest.raises(MalformedPlaylist):
-            validate_master_playlist("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=900\n")
-
 
 class TestDiskLayout:
     def test_write_read_round_trip(self, tmp_path, rng):
         media = rng.randbytes(4 * MIB)
         pkg = package(media, KEY, key_uri="skydrm://license/deadbeef")
-        master = master_playlist([Rendition(1_000_000, "playlist.m3u8")])
-        write_package(pkg, tmp_path / "out", master=master)
+        write_package(pkg, tmp_path / "out")
         again = read_package(tmp_path / "out")
         assert again.key is None
         assert again.key_uri == "skydrm://license/deadbeef"
         assert unpackage(again, KEY) == media
-        assert (tmp_path / "out" / "master.m3u8").exists()
 
     def test_key_never_written(self, tmp_path, rng):
         # The 16 key octets must not appear in any written file.

@@ -204,6 +204,15 @@ class TestVerify:
         chain.blocks[3] = block.replace(transactions=(bad_tx,))
         assert chain.verify() == 3
 
+    def test_tampered_tx_body_located(self, clock):
+        # The tx_id is kept, so tx_root and the block hash still recompute
+        # from the stored ids: only rehashing the body finds the edit.
+        chain = mined_chain(clock)
+        block = chain.blocks[2]
+        bad_tx = block.transactions[0].replace(content_commitment=digest(b"other title"))
+        chain.blocks[2] = block.replace(transactions=(bad_tx,))
+        assert chain.verify() == 2
+
     def test_swapped_blocks_located(self, clock):
         chain = mined_chain(clock)
         chain.blocks[2], chain.blocks[3] = chain.blocks[3], chain.blocks[2]

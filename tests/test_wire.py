@@ -6,8 +6,7 @@ import pytest
 import skyvault.cli  # noqa: F401  (defines every value type)
 from skyvault.crypto import Credential, Digest, KeyPair, generate_keypair, seal
 from skyvault.errors import BadConfig, InvalidRules
-from skyvault.hls import (Rendition, Segment, master_playlist, package,
-                          validate_media_playlist)
+from skyvault.hls import Segment, package, validate_media_playlist
 from skyvault.identity import Account, Challenge, SessionToken
 from skyvault.ledger import Block, Transaction
 from skyvault.licensing import (DenyReason, Decision, KeyRules, License, PurchaseResult,
@@ -31,8 +30,6 @@ VALUES = [
     Credential("alice", D),
     PACKAGE.segments[0],
     PACKAGE,
-    Rendition(800_000, "media.m3u8"),
-    master_playlist([Rendition(800_000, "media.m3u8")]),
     validate_media_playlist(PACKAGE.media_playlist),
     Account("alice", D, b"k" * 32, 1),
     Challenge(b"c" * 16, "alice", b"n" * 32, ENVELOPE, 1),
@@ -113,7 +110,7 @@ def test_equality_needs_the_exact_class():
 
 
 def test_repr():
-    assert repr(Rendition(1, "m.m3u8")) == "Rendition(bandwidth=1, media_playlist_name='m.m3u8')"
+    assert repr(Segment("seg0.ts", b"ts")) == "Segment(name='seg0.ts', ciphertext=b'ts')"
 
 
 def test_config_fields():
