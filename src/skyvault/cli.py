@@ -24,7 +24,7 @@ import click
 from .crypto import Digest, derive_credential, generate_keypair
 from .errors import (BindFailed, ChainInvalid, NotAuthenticated, OutputUnwritable,
                      RightsDenied, SkyVaultError, UnknownAction, UnknownLicense)
-from .hls import DEFAULT_KEY_URI, package, write_package
+from .hls import package, write_package
 from .identity import solve_challenge
 from .ledger import append_block
 from .licensing import (
@@ -274,12 +274,10 @@ def play(world, skylink, out, action):
 @main.command("hls-package")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("outdir", type=click.Path(file_okay=False))
-@click.option("--key-uri", default=DEFAULT_KEY_URI, show_default=True,
-              help="Key URI for the playlist.")
 @click.option("--key-out", type=click.Path(dir_okay=False), default=None,
               help="Write the key here; must not live inside OUTDIR.")
 @with_world
-def hls_package(world, file, outdir, key_uri, key_out):
+def hls_package(world, file, outdir, key_out):
     """Encrypt FILE into HLS segments of the state's segment_bytes (set by
     init) plus an M3U8 playlist in OUTDIR."""
     if key_out and Path(outdir).resolve() in Path(key_out).resolve().parents:
@@ -287,8 +285,7 @@ def hls_package(world, file, outdir, key_uri, key_out):
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
-    pkg = package(media, key, segment_bytes=world.config.segment_bytes,
-                  key_uri=key_uri)
+    pkg = package(media, key, segment_bytes=world.config.segment_bytes)
     if key_out:  # first: a package whose key was lost could never be played
         with _open_out(key_out) as handle:
             handle.write(key)

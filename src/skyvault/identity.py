@@ -81,14 +81,12 @@ class Account(Record):
             id=data["id"],
             verifier=Digest.from_hex(data["verifier"]),
             public_key=b64u_decode(data["public_key"]),
-            created_at=int(data["created_at"]),
+            created_at=data["created_at"],
         )
 
 
 class Challenge(Record):
     """Outstanding login challenge; ``nonce`` stays server-side until solved."""
-
-    __slots__ = ("challenge_id", "account_id", "nonce", "sealed_nonce", "issued_at")
 
     challenge_id: bytes
     account_id: str
@@ -98,8 +96,6 @@ class Challenge(Record):
 
 
 class SessionToken(Record):
-    __slots__ = ("token", "account_id", "expires_at")
-
     token: bytes
     account_id: str
     expires_at: int
@@ -116,7 +112,7 @@ class SessionToken(Record):
         return cls(
             token=b64u_decode(data["token"]),
             account_id=data["account_id"],
-            expires_at=int(data["expires_at"]),
+            expires_at=data["expires_at"],
         )
 
 

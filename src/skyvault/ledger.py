@@ -62,8 +62,9 @@ GENESIS_PREV_HASH = b"\x00" * 32
 _RECORD_CHECKSUM_SIZE = 32
 # Byte sizes of a transaction body's fields: four digests and a u64.
 _TX_BODY_SIZES = (DIGEST_SIZE,) * 4 + (8,)
-# Byte sizes of a block's tx_root, timestamp, nonce and block_hash fields.
-_BLOCK_FIELD_SIZES = (DIGEST_SIZE, 8, 8, DIGEST_SIZE)
+# Byte sizes of a block's height, prev_hash, tx_root, timestamp, nonce and
+# block_hash fields.
+_BLOCK_SIZES = (8, DIGEST_SIZE, DIGEST_SIZE, 8, 8, DIGEST_SIZE)
 
 
 def leading_zero_bits(data: bytes) -> int:
@@ -187,7 +188,7 @@ def _check_block(data: bytes) -> _CheckedBlock:
         raise ValueError("block transaction count mismatch")
     txs = [_check_transaction(blob) for blob in fields[7:]]
     sizes = tuple(map(len, fields[:6]))
-    if sizes[0] != 8 or sizes[2:] != _BLOCK_FIELD_SIZES:
+    if sizes != _BLOCK_SIZES:
         raise ValueError(f"block field sizes {sizes} do not fit the layout")
     if _raw_tx_root(tx[6] for tx in txs) != fields[2]:
         raise ValueError("block tx_root does not recompute")

@@ -55,9 +55,12 @@ so a damaged state ends a command with its JSON error, not a traceback.
 Fragments are the exception: their bytes are not decoded, so a fragment
 file must only be named by a digest, and a damaged one is found by that
 digest when it is fetched. Names become paths only once checked: an
-account file must be named by its record's id, and each roster host id
-must be a plain file name by the account id rule
-(``identity.check_id``), else the file is ``StateCorrupt``.
+account or key file must be named by its record's id, and each roster
+host id must be a plain file name by the account id rule
+(``identity.check_id``), else the file is ``StateCorrupt``. Every JSON
+file is read by its exact shape, the writer's keys with the writer's
+JSON types: an extra key, or ``"1"``, ``1.0`` or ``true`` for an
+integer, is ``StateCorrupt`` too.
 
 A license file is named by the record's consumer fingerprint,
 digest(consumer id ‖ content id), and its license id, so ``play`` reads
@@ -142,57 +145,19 @@ class StateDirectory:
     """Path schema plus load/save for each artifact kind."""
 
     def __init__(self, root):
-        self.root = Path(root)
-
-    # -- layout -------------------------------------------------------------
-
-    @property
-    def config_path(self) -> Path:
-        return self.root / CONFIG_FILENAME
-
-    @property
-    def chain_path(self) -> Path:
-        return self.root / CHAIN_FILENAME
-
-    @property
-    def accounts_dir(self) -> Path:
-        return self.root / "accounts"
-
-    @property
-    def session_key_path(self) -> Path:
-        return self.root / "session.key"
-
-    @property
-    def hosts_dir(self) -> Path:
-        return self.root / "hosts"
-
-    @property
-    def roster_path(self) -> Path:
-        return self.hosts_dir / "roster.json"
-
-    @property
-    def manifests_dir(self) -> Path:
-        return self.root / "manifests"
-
-    @property
-    def licenses_dir(self) -> Path:
-        return self.root / "licenses"
-
-    @property
-    def secrets_dir(self) -> Path:
-        return self.root / "secrets"
-
-    @property
-    def catalog_path(self) -> Path:
-        return self.root / "catalog.json"
-
-    @property
-    def keys_dir(self) -> Path:
-        return self.root / "keys"
-
-    @property
-    def session_path(self) -> Path:
-        return self.root / "session.json"
+        self.root = root = Path(root)
+        self.config_path = root / CONFIG_FILENAME
+        self.chain_path = root / CHAIN_FILENAME
+        self.accounts_dir = root / "accounts"
+        self.session_key_path = root / "session.key"
+        self.hosts_dir = root / "hosts"
+        self.roster_path = self.hosts_dir / "roster.json"
+        self.manifests_dir = root / "manifests"
+        self.licenses_dir = root / "licenses"
+        self.secrets_dir = root / "secrets"
+        self.catalog_path = root / "catalog.json"
+        self.keys_dir = root / "keys"
+        self.session_path = root / "session.json"
 
     def initialize(self, config: Config):
         self.root.mkdir(parents=True, exist_ok=True)
@@ -338,7 +303,7 @@ class StateDirectory:
         path = self.keys_dir / f"{check_id(id)}.json"
         if not path.is_file():
             raise StateMissing(f"no keypair for {id} (register here first)")
-        return _load(path, lambda data: _decode_keypair(_json(data)))
+        return _load(path, lambda data: _decode_keypair(id, _json(data)))
 
     def save_login(self, session: SessionToken):
         _write_json(self.session_path, session.to_json())
@@ -346,7 +311,8 @@ class StateDirectory:
     def load_login(self) -> SessionToken | None:
         if not self.session_path.is_file():
             return None
-        return _load(self.session_path, lambda data: SessionToken.from_json(_json(data)))
+        return _load(self.session_path, lambda data: SessionToken.from_json(_shaped(
+            _json(data), {"token": str, "account_id": str, "expires_at": int})))
 
 
 def _write(path: Path, data: bytes):
@@ -386,26 +352,40 @@ def _decode_session_key(data: bytes) -> bytes:
     return data
 
 
+def _shaped(value, types: dict[str, type]) -> dict:
+    """VALUE as its writer writes it: a JSON object with exactly the keys of
+    TYPES, each value of exactly its type, so no text, float or boolean
+    stands in for an integer."""
+    if not (type(value) is dict and value.keys() == types.keys()
+            and all(type(value[key]) is kind for key, kind in types.items())):
+        raise ValueError(f"not an object of {list(types)} as written")
+    return value
+
+
 def _objects(data: bytes, types: dict[str, type], unique: str) -> list[dict]:
-    """DATA as its writer writes it: a JSON list of objects with exactly the
-    keys and value types of TYPES, no two with one value of UNIQUE."""
+    """DATA as its writer writes it: a JSON list of ``_shaped`` objects,
+    no two with one value of UNIQUE."""
     items = _json(data)
-    if type(items) is not list or not all(
-            type(item) is dict and item.keys() == types.keys()
-            and all(type(item[key]) is kind for key, kind in types.items())
-            for item in items):
-        raise ValueError(f"not a list of objects of {list(types)}")
+    if type(items) is not list:
+        raise ValueError("not a list")
+    for item in items:
+        _shaped(item, types)
     if len({item[unique] for item in items}) != len(items):
         raise ValueError(f"two entries with one {unique}")
     return items
 
 
-def _decode_account(stem: str, payload: dict) -> Account:
-    account = Account.from_json(payload)
-    if account.id != stem:
-        # Lookups trust the name: a record filed under another name would
-        # be read as that account, or twice as its own.
-        raise ValueError(f"account file {stem}.json does not match its record")
+def _check_filed(kind: str, stem: str, id: str):
+    # Lookups trust the name: a record filed under another id's name would
+    # be read as that id's, or twice as its own.
+    if id != stem:
+        raise ValueError(f"{kind} file {stem}.json does not match its record")
+
+
+def _decode_account(stem: str, payload) -> Account:
+    account = Account.from_json(_shaped(
+        payload, {"id": str, "verifier": str, "public_key": str, "created_at": int}))
+    _check_filed("account", stem, account.id)
     return account
 
 
@@ -420,7 +400,9 @@ def _decode_roster(data: bytes) -> list[dict]:
     return roster
 
 
-def _decode_keypair(payload: dict) -> KeyPair:
+def _decode_keypair(stem: str, payload) -> KeyPair:
+    _shaped(payload, {"id": str, "public_key": str, "private_key": str})
+    _check_filed("key", stem, payload["id"])
     return KeyPair(public_key=b64u_decode(payload["public_key"]),
                    private_key=b64u_decode(payload["private_key"]))
 
@@ -433,7 +415,8 @@ def _read_license(path: Path) -> License:
     return _load(path, lambda data: _decode_license(path.name, _json(data)))
 
 
-def _decode_license(name: str, payload: dict) -> License:
+def _decode_license(name: str, payload) -> License:
+    _shaped(payload, {"license": str, "uses_consumed": int})
     license = License.from_canonical_bytes(hex_decode(payload["license"]))
     if name != _license_filename(license):
         # Lookups trust the name, so a record filed under another name
@@ -441,13 +424,13 @@ def _decode_license(name: str, payload: dict) -> License:
         raise ValueError(f"license file {name} does not match its record")
     uses, max_uses = payload["uses_consumed"], license.key_rules.max_uses
     # Only redeem_license moves the counter: from 0, by one, up to max_uses.
-    if type(uses) is not int or uses < 0 or (max_uses is not None and uses > max_uses):
+    if uses < 0 or (max_uses is not None and uses > max_uses):
         raise ValueError(f"license use counter {uses!r} is out of range")
     license.uses_consumed = uses
     return license
 
 
-class World(Record, frozen=False):
+class World(Record):
     """Everything a command needs, loaded cold from one state directory."""
 
     state: StateDirectory

@@ -120,17 +120,11 @@ _REQUIRED = object()  # the FIELDS default of a field that has none
 
 
 class Record:
-    """Base of the value types; see the module docstring. A subclass with
-    ``__slots__`` names its fields there too."""
-
-    __slots__ = ()
+    """Base of the value types; see the module docstring."""
 
     def __init_subclass__(cls, frozen: bool = True):
         own = cls.__dict__
-        slots = own.get("__slots__", ())
-        cls.FIELDS = {name: own[name] if name in own and name not in slots else _REQUIRED
-                      for name in own.get("__annotations__", {})}
-        cls._slotted = bool(slots)
+        cls.FIELDS = {name: own.get(name, _REQUIRED) for name in own.get("__annotations__", {})}
         # The field values as == and hash see them. An attrgetter binds to
         # no instance, so it is called as self._key(self).
         cls._key = attrgetter(*cls.FIELDS)
@@ -149,11 +143,7 @@ class Record:
                     or any(value is _REQUIRED for value in complete.values())):
                 raise TypeError(f"{type(self).__name__} takes the fields {list(fields)}")
             kwargs = complete
-        if self._slotted:
-            for field, value in kwargs.items():
-                object.__setattr__(self, field, value)
-        else:
-            vars(self).update(kwargs)
+        vars(self).update(kwargs)
         self.__post_init__()
 
     def __post_init__(self):

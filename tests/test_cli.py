@@ -331,20 +331,30 @@ class TestDamagedState:
         assert sorted(os.listdir(outside)) == ["ab" * 32]
         assert not (tmp_path / "got.bin").exists()
 
-    @pytest.mark.parametrize("copy", [False, True], ids=["renamed", "copied"])
-    def test_account_filed_under_another_id(self, runner, purchased, tmp_path, copy):
+    @pytest.mark.parametrize("directory, copy", [
+        ("accounts", False), ("accounts", True), ("keys", False), ("keys", True),
+    ], ids=["renamed", "copied", "key-renamed", "key-copied"])
+    def test_account_filed_under_another_id(self, runner, purchased, tmp_path,
+                                            directory, copy):
         # Renamed, alice's record was read as bob-viewer's; copied, every
-        # command was duplicate_id, naming no file.
+        # command was duplicate_id, naming no file. Over bob-viewer's own
+        # key, alice's key file made bob-viewer's login open_failed, naming
+        # no file.
         root = _copy(purchased, tmp_path)
-        alice = root / "accounts" / "alice-consumer.json"
-        bob = root / "accounts" / "bob-viewer.json"
+        command = ["host", "list"]
+        if directory == "keys":  # only a login as bob-viewer loads the key
+            run(runner, root, "register", "bob-viewer", "--password", PASSWORD)
+            command = ["login", "bob-viewer", "--password", PASSWORD]
+        alice = root / directory / "alice-consumer.json"
+        bob = root / directory / "bob-viewer.json"
         if copy:
             shutil.copy(alice, bob)
         else:
             alice.rename(bob)
-        error = self.refused(runner, root, "host", "list")
+        error = self.refused(runner, root, *command)
         assert error["error"] == "state_corrupt"
         assert "bob-viewer.json does not match its record" in error["message"]
+        assert str(bob) in error["message"]
 
     @pytest.mark.parametrize("where", ["fragment-name", "verifier"])
     def test_digest_text_not_as_written(self, runner, purchased, tmp_path, where):
@@ -687,7 +697,7 @@ class TestActingAccount:
         def options(command):
             return (sum(isinstance(param, click.Option) for param in command.params)
                     + sum(options(sub) for sub in getattr(command, "commands", {}).values()))
-        assert options(main) == 18
+        assert options(main) == 17
 
 
 class TestFileModes:

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skyvault.crypto import Digest, Envelope, digest, generate_keypair
-from skyvault.errors import InvalidToken, SkyVaultError
+from skyvault.errors import InvalidToken, SkyVaultError, StateCorrupt
 from skyvault.hls import package, validate_media_playlist
 from skyvault.ledger import (
     Block,
@@ -500,3 +500,76 @@ def test_catalog(state, value):
         state.add_catalog_entry(entry["title"], SkyLink(entry["skylink"]),
                                 entry["provider_id"])
     assert _canonical(state.catalog_path.read_text()) == _canonical(text)
+
+
+# Values that stand in for a writer's integers and ids: the same number
+# as text and as a float, and another account's id.
+OBJECT_SCALARS = st.one_of(JSON_SCALARS, st.sampled_from(
+    [NOW, str(NOW), float(NOW), "alice-consumer", "bob-viewer"]))
+
+
+def _object_edits(valid: dict):
+    """VALID, VALID with one key dropped or set to any scalar, or any JSON value."""
+    keys = st.sampled_from([*valid, "other"])
+    return st.one_of(
+        st.just(valid),
+        st.tuples(st.just(valid), keys, OBJECT_SCALARS, st.booleans()).map(lambda t: _edit(*t)),
+        JSON_VALUES)
+
+
+def loads_as_written(path, value, load, save):
+    """PATH holding VALUE loads, and saves back the same JSON, or it is
+    refused as StateCorrupt naming PATH."""
+    text = json.dumps(value)
+    path.write_text(text)
+    try:
+        loaded = load()
+    except StateCorrupt as exc:
+        assert str(path) in str(exc)
+        return
+    save(loaded)
+    assert _canonical(path.read_text()) == _canonical(text)
+
+
+ACCOUNT_JSON = SESSIONS.get_account("alice-consumer").to_json()
+KEY_JSON = {"id": "alice-consumer", "public_key": b64u(CONSUMER.public_key),
+            "private_key": b64u(CONSUMER.private_key)}
+LOGIN_JSON = {"token": b64u(TOKEN), "account_id": "alice-consumer", "expires_at": NOW + 3600}
+LICENSE_JSON = json.loads(_license_file(LICENSE, 2))
+
+
+@PROPERTY
+@example({**ACCOUNT_JSON, "created_at": str(NOW)})
+@example({**ACCOUNT_JSON, "created_at": float(NOW)})
+@example({**ACCOUNT_JSON, "other": 1})
+@given(_object_edits(ACCOUNT_JSON))
+def test_account_file(state, value):
+    loads_as_written(state.accounts_dir / "alice-consumer.json", value,
+                     lambda: state.load_accounts()[0], state.save_account)
+
+
+@PROPERTY
+@example({**KEY_JSON, "other": 1})
+@example({**KEY_JSON, "id": "bob-viewer"})
+@given(_object_edits(KEY_JSON))
+def test_key_file(state, value):
+    loads_as_written(state.keys_dir / "alice-consumer.json", value,
+                     lambda: state.load_keypair("alice-consumer"),
+                     lambda keypair: state.save_keypair("alice-consumer", keypair))
+
+
+@PROPERTY
+@example({**LOGIN_JSON, "expires_at": float(NOW)})
+@example({**LOGIN_JSON, "expires_at": True})
+@example({**LOGIN_JSON, "other": 1})
+@given(_object_edits(LOGIN_JSON))
+def test_login_file(state, value):
+    loads_as_written(state.session_path, value, state.load_login, state.save_login)
+
+
+@PROPERTY
+@example({**LICENSE_JSON, "other": 1})
+@given(_object_edits(LICENSE_JSON))
+def test_license_file(state, value):
+    loads_as_written(state.licenses_dir / _license_filename(LICENSE), value,
+                     lambda: state.load_license(LICENSE.license_id), state.save_license)

@@ -344,14 +344,20 @@ class TestSerialization:
         with pytest.raises(ChainCorrupt, match="tx_root"):
             parse_chain(serialize_chain(Chain(blocks=[forged])))
 
-    def test_short_digest_field_rejected_behind_good_checksum(self, clock):
-        # A 31-byte content commitment, under a tx_id, tx_root, block hash
-        # and checksum that all recompute.
+    @pytest.mark.parametrize("field", ["content_commitment", "prev_hash"])
+    def test_short_digest_field_rejected_behind_good_checksum(self, clock, field):
+        # A 31-byte content commitment or a 3-byte prev_hash, under a tx_id,
+        # tx_root, block hash and checksum that all recompute. The short
+        # prev_hash loaded, and only verify() flagged it, at height 0.
         body = unpack_fields(sample_tx(clock).body_bytes())
-        body[2] = body[2][:31]
+        prev_hash = GENESIS_PREV_HASH
+        if field == "content_commitment":
+            body[2] = body[2][:31]
+        else:
+            prev_hash = prev_hash[:3]
         tx_id = digest(pack_fields(body))
         tx_record = pack_fields(body + [b"signature", tx_id.value])
-        header = pack_fields([u64(0), GENESIS_PREV_HASH, digest(tx_id.value).value,
+        header = pack_fields([u64(0), prev_hash, digest(tx_id.value).value,
                               u64(int(clock())), u64(0)])
         record = header + pack_fields([digest(header).value, u64(1), tx_record])
         image = len(record).to_bytes(4, "big") + record + digest(record).value

@@ -48,7 +48,7 @@ VALUES = [
     FileManifest(D, 10, 4, (CHUNK,), ENVELOPE),
     SkyLink("sia://AAAA"),
 ]
-MUTABLE = (License, World)
+MUTABLE = (License,)
 
 
 def test_every_value_type_is_covered():
@@ -76,7 +76,6 @@ def test_value_type(value):
                 hash(value)
         else:
             assert hash(copy) == hash(value)
-    assert hasattr(value, "__dict__") is not isinstance(value, (Challenge, SessionToken))
 
 
 def test_construction():
