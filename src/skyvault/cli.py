@@ -230,8 +230,8 @@ def buy(world, skylink, valid_seconds, max_uses, actions):
 
 
 def _redeem_newest(world, keypair, consumer_id: str, content_id: Digest, action: str):
-    """The newest license (by ``issued_at``, then id) that allows ACTION,
-    and its key; when all deny, the newest one's reason is raised."""
+    """The newest license (by ``issued_at``, then id) that allows ACTION, spent
+    once more, and its key; when all deny, the newest one's reason is raised."""
     if action not in ALL_ACTIONS:
         raise UnknownAction(f"unknown action: {action!r}")
     licenses = sorted(world.state.load_licenses(consumer_id, content_id),
@@ -243,7 +243,7 @@ def _redeem_newest(world, keypair, consumer_id: str, content_id: Digest, action:
     denied = None
     for license in licenses:
         try:
-            return license, redeem_license(keypair.private_key, license, action, now)
+            return redeem_license(keypair.private_key, license, action, now)
         except RightsDenied as exc:
             denied = denied or exc
     raise denied

@@ -89,6 +89,11 @@ class KeyPair(Record):
     public_key: bytes
     private_key: bytes
 
+    def __post_init__(self):
+        if len(self.public_key) != KEY_SIZE or len(self.private_key) != SEED_SIZE:
+            raise ValueError(f"key pair must be {KEY_SIZE} + {SEED_SIZE} bytes, got "
+                             f"{len(self.public_key)} + {len(self.private_key)}")
+
 
 class Envelope(Record):
     """Asymmetric sealed message: only the recipient's private key opens it."""

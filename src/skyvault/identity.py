@@ -29,7 +29,7 @@ import time
 from collections import OrderedDict
 from typing import Callable
 
-from .crypto import Digest, derive_credential, digest, open_envelope, seal, Envelope
+from .crypto import KEY_SIZE, Digest, derive_credential, digest, open_envelope, seal, Envelope
 from .errors import (
     BadIdentifier,
     BadKeyLength,
@@ -66,6 +66,10 @@ class Account(Record):
     verifier: Digest
     public_key: bytes
     created_at: int
+
+    def __post_init__(self):
+        if len(self.public_key) != KEY_SIZE:
+            raise ValueError(f"public key must be {KEY_SIZE} bytes, got {len(self.public_key)}")
 
     def to_json(self) -> dict:
         return {

@@ -9,7 +9,8 @@ chain carries only its digest.
 
 Deny reasons are evaluated in a fixed order so outcomes are
 reproducible: ActionForbidden, then NotYetValid, then Expired, then
-UsesExhausted. An allow consumes one use.
+UsesExhausted. An allow returns the license with one more use spent;
+a deny raises ``RightsDenied`` carrying the reason.
 
 Canonical byte layouts (field framing per :mod:`skyvault.wire`):
 
@@ -36,7 +37,6 @@ record and the hash.
 
 from __future__ import annotations
 
-import enum
 import os
 from typing import Optional
 
@@ -65,26 +65,6 @@ ACTION_STREAM = "stream"
 ACTION_DOWNLOAD = "download"
 ACTION_RELICENSE = "re-license"
 ALL_ACTIONS = frozenset({ACTION_STREAM, ACTION_DOWNLOAD, ACTION_RELICENSE})
-
-
-class DenyReason(enum.Enum):
-    ACTION_FORBIDDEN = "ActionForbidden"
-    NOT_YET_VALID = "NotYetValid"
-    EXPIRED = "Expired"
-    USES_EXHAUSTED = "UsesExhausted"
-
-
-class Decision(Record):
-    allowed: bool
-    reason: Optional[DenyReason] = None
-
-    @classmethod
-    def allow(cls) -> "Decision":
-        return cls(allowed=True)
-
-    @classmethod
-    def deny(cls, reason: DenyReason) -> "Decision":
-        return cls(allowed=False, reason=reason)
 
 
 class KeyRules(Record):
@@ -149,7 +129,7 @@ class Rights(Record):
         return rights
 
 
-class License(Record, frozen=False):
+class License(Record):
     """Signed-by-hash usage grant; ``uses_consumed`` is local state."""
 
     license_id: bytes
@@ -163,6 +143,12 @@ class License(Record, frozen=False):
     issued_at: int
     license_hash: Digest
     uses_consumed: int = 0
+
+    def __post_init__(self):
+        # Only check_rights moves the counter: from 0, by one, up to max_uses.
+        max_uses = self.key_rules.max_uses
+        if self.uses_consumed < 0 or (max_uses is not None and self.uses_consumed > max_uses):
+            raise ValueError(f"license use counter {self.uses_consumed!r} is out of range")
 
     def hashed_fields(self) -> list[bytes]:
         return [
@@ -286,33 +272,30 @@ def issue_license(provider: KeyPair, consumer: Account, content_id: Digest,
         issued_at=now,
         license_hash=Digest(b"\x00" * 32),
     )
-    lic.license_hash = lic.compute_hash()
-    return lic
+    return lic.replace(license_hash=lic.compute_hash())
 
 
-def check_rights(license: License, action: str, now: int) -> Decision:
-    """Evaluate one action request; an allow consumes one use."""
-    if action not in license.rights.allowed_actions:
-        return Decision.deny(DenyReason.ACTION_FORBIDDEN)
-    if now < license.key_rules.not_before:
-        return Decision.deny(DenyReason.NOT_YET_VALID)
-    if now > license.key_rules.not_after:
-        return Decision.deny(DenyReason.EXPIRED)
+def check_rights(license: License, action: str, now: int) -> License:
+    """Evaluate one action request; an allow returns LICENSE spent once more."""
     max_uses = license.key_rules.max_uses
-    if max_uses is not None and license.uses_consumed >= max_uses:
-        return Decision.deny(DenyReason.USES_EXHAUSTED)
-    license.uses_consumed += 1
-    return Decision.allow()
+    if action not in license.rights.allowed_actions:
+        reason = "ActionForbidden"
+    elif now < license.key_rules.not_before:
+        reason = "NotYetValid"
+    elif now > license.key_rules.not_after:
+        reason = "Expired"
+    elif max_uses is not None and license.uses_consumed >= max_uses:
+        reason = "UsesExhausted"
+    else:
+        return license.replace(uses_consumed=license.uses_consumed + 1)
+    raise RightsDenied(f"rights denied: {reason}", reason=reason)
 
 
 def redeem_license(consumer_private: bytes, license: License, action: str,
-                   now: int) -> bytes:
-    """Release the content key iff the action is allowed right now."""
-    decision = check_rights(license, action, now)
-    if not decision.allowed:
-        reason = decision.reason.value
-        raise RightsDenied(f"rights denied: {reason}", reason=reason)
-    return open_envelope(consumer_private, license.enveloped_content_key)
+                   now: int) -> tuple[License, bytes]:
+    """The license spent once more and the content key, iff ACTION is allowed now."""
+    spent = check_rights(license, action, now)
+    return spent, open_envelope(consumer_private, license.enveloped_content_key)
 
 
 def build_secret_block(license: License, session_token: SessionToken,

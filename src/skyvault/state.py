@@ -134,7 +134,12 @@ class Config(Record):
             key, value = key.strip(), value.strip()
             if not sep or key not in cls.FIELDS:
                 raise BadConfig(f"config line {lineno}: unknown setting {raw!r}")
+            if key in values:
+                raise BadConfig(f"config line {lineno}: {key} is set twice")
             try:
+                # ASCII digits only: int() also reads "+1_024" and other scripts' digits.
+                if not (value.isascii() and value.isdigit()):
+                    raise ValueError(value)
                 values[key] = int(value)
             except ValueError:
                 raise BadConfig(f"config line {lineno}: {key} must be an integer") from None
@@ -422,12 +427,7 @@ def _decode_license(name: str, payload) -> License:
         # Lookups trust the name, so a record filed under another name
         # (say, another consumer's fingerprint) is refused.
         raise ValueError(f"license file {name} does not match its record")
-    uses, max_uses = payload["uses_consumed"], license.key_rules.max_uses
-    # Only redeem_license moves the counter: from 0, by one, up to max_uses.
-    if uses < 0 or (max_uses is not None and uses > max_uses):
-        raise ValueError(f"license use counter {uses!r} is out of range")
-    license.uses_consumed = uses
-    return license
+    return license.replace(uses_consumed=payload["uses_consumed"])
 
 
 class World(Record):

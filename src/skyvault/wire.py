@@ -19,11 +19,10 @@ Every value type those records carry is a :class:`Record`: its fields
 are the class annotations, in order, read once when the class is made.
 A record is built positionally or by keyword, checks itself in
 ``__post_init__``, compares and hashes by its fields and reprs as
-``Name(field=value, ...)``. It is frozen unless declared with
-``frozen=False``; ``record.replace(**changes)`` is the way to a changed
-copy, checked like any new instance. ``FIELDS`` maps each field to its
-default. No code is generated per class, so importing the value types
-costs no ``dataclasses`` and no ``exec``.
+``Name(field=value, ...)``. It is frozen: ``record.replace(**changes)``
+is the way to a changed copy, checked like any new instance. ``FIELDS``
+maps each field to its default. No code is generated per class, so
+importing the value types costs no ``dataclasses`` and no ``exec``.
 """
 
 from __future__ import annotations
@@ -122,16 +121,12 @@ _REQUIRED = object()  # the FIELDS default of a field that has none
 class Record:
     """Base of the value types; see the module docstring."""
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         own = cls.__dict__
         cls.FIELDS = {name: own.get(name, _REQUIRED) for name in own.get("__annotations__", {})}
         # The field values as == and hash see them. An attrgetter binds to
         # no instance, so it is called as self._key(self).
         cls._key = attrgetter(*cls.FIELDS)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self.FIELDS

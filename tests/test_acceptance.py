@@ -23,6 +23,7 @@ from skyvault.errors import (
     ChainCorrupt,
     IntegrityFailure,
     ResponseMismatch,
+    RightsDenied,
     UnknownChallenge,
 )
 from skyvault.hls import package, sequence_iv, unpackage, validate_media_playlist
@@ -322,8 +323,11 @@ def test_criterion_08_license_rule_agreement(rng):
             else:
                 expected = "allow"
                 used += 1
-            decision = check_rights(license, action, now)
-            got = "allow" if decision.allowed else decision.reason.value
+            try:
+                license = check_rights(license, action, now)
+                got = "allow"
+            except RightsDenied as exc:
+                got = exc.reason
             if got != expected:
                 disagreements += 1
             samples += 1

@@ -356,6 +356,21 @@ class TestDamagedState:
         assert "bob-viewer.json does not match its record" in error["message"]
         assert str(bob) in error["message"]
 
+    @pytest.mark.parametrize("directory, field, command", [
+        ("accounts", "public_key", ["host", "list"]),
+        ("keys", "private_key", ["login", "alice-consumer", "--password", PASSWORD]),
+    ], ids=["account-public-key", "key-private-key"])
+    def test_key_of_wrong_length(self, runner, purchased, tmp_path, directory, field, command):
+        # A 3-byte key loaded: host list exited 0, and login failed with
+        # bad_key_length, naming no file.
+        root = _copy(purchased, tmp_path)
+        path = root / directory / "alice-consumer.json"
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: b64u(b"abc")}))
+        error = self.refused(runner, root, *command)
+        assert error["error"] == "state_corrupt"
+        assert str(path) in error["message"]
+
     @pytest.mark.parametrize("where", ["fragment-name", "verifier"])
     def test_digest_text_not_as_written(self, runner, purchased, tmp_path, where):
         # Digest text decoded through bytes.fromhex took upper case and

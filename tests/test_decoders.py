@@ -67,8 +67,7 @@ def _license(rules: KeyRules = RULES) -> License:
         enveloped_content_key=ENVELOPE, key_rules=rules, rights=RIGHTS,
         consumer_fingerprint=consumer_fingerprint("alice-consumer", content_id),
         issued_at=NOW, license_hash=digest(b""))
-    license.license_hash = license.compute_hash()
-    return license
+    return license.replace(license_hash=license.compute_hash())
 
 
 def _chain() -> Chain:

@@ -265,8 +265,7 @@ def sample_license() -> License:
         issued_at=NOW,
         license_hash=digest(b""),
     )
-    lic.license_hash = lic.compute_hash()
-    return lic
+    return lic.replace(license_hash=lic.compute_hash())
 
 
 # -- crypto ------------------------------------------------------------------

@@ -21,8 +21,6 @@ from skyvault.licensing import (
     ACTION_DOWNLOAD,
     ACTION_RELICENSE,
     ACTION_STREAM,
-    Decision,
-    DenyReason,
     KeyRules,
     License,
     Rights,
@@ -112,7 +110,8 @@ class TestIssueLicense:
     def test_consumer_redeems_content_key(self, account):
         key = b"\x13" * 32
         lic = sample_license(account, content_key=key)
-        assert redeem_license(CONSUMER.private_key, lic, ACTION_STREAM, NOW) == key
+        _, released = redeem_license(CONSUMER.private_key, lic, ACTION_STREAM, NOW)
+        assert released == key
 
     def test_provider_cannot_open_envelope(self, account):
         lic = sample_license(account)
@@ -164,57 +163,68 @@ class TestIssueLicense:
         assert matches == [licenses[7]]
 
 
+def deny_reason(lic, action, now):
+    """The reason check_rights gives for refusing ACTION at NOW."""
+    with pytest.raises(RightsDenied) as err:
+        check_rights(lic, action, now)
+    return err.value.reason
+
+
 class TestCheckRights:
     def test_allow_within_window(self, account):
         lic = sample_license(account, max_uses=2)
-        assert check_rights(lic, ACTION_STREAM, NOW) == Decision.allow()
+        assert check_rights(lic, ACTION_STREAM, NOW) == lic.replace(uses_consumed=1)
 
     def test_uses_exhausted_on_third_call(self, account):
         lic = sample_license(account, max_uses=2)
-        assert check_rights(lic, ACTION_STREAM, NOW).allowed
-        assert check_rights(lic, ACTION_STREAM, NOW).allowed
-        decision = check_rights(lic, ACTION_STREAM, NOW)
-        assert decision == Decision.deny(DenyReason.USES_EXHAUSTED)
+        lic = check_rights(lic, ACTION_STREAM, NOW)
+        lic = check_rights(lic, ACTION_STREAM, NOW)
+        assert deny_reason(lic, ACTION_STREAM, NOW) == "UsesExhausted"
 
     def test_denials_do_not_consume(self, account):
         lic = sample_license(account, max_uses=1)
         for _ in range(5):
-            check_rights(lic, ACTION_RELICENSE, NOW)
+            with pytest.raises(RightsDenied):
+                check_rights(lic, ACTION_RELICENSE, NOW)
         assert lic.uses_consumed == 0
-        assert check_rights(lic, ACTION_STREAM, NOW).allowed
+        check_rights(lic, ACTION_STREAM, NOW)
+
+    def test_license_given_is_left_unchanged(self, account):
+        lic = sample_license(account, max_uses=1)
+        spent = check_rights(lic, ACTION_STREAM, NOW)
+        assert deny_reason(spent, ACTION_STREAM, NOW) == "UsesExhausted"
+        assert (lic.uses_consumed, spent.uses_consumed) == (0, 1)
+        assert spent == lic.replace(uses_consumed=1)
 
     def test_expired(self, account):
         lic = sample_license(account)
-        decision = check_rights(lic, ACTION_STREAM, NOW + 101)
-        assert decision == Decision.deny(DenyReason.EXPIRED)
+        assert deny_reason(lic, ACTION_STREAM, NOW + 101) == "Expired"
 
     def test_not_yet_valid(self, account):
         lic = sample_license(account)
-        decision = check_rights(lic, ACTION_STREAM, NOW - 101)
-        assert decision == Decision.deny(DenyReason.NOT_YET_VALID)
+        assert deny_reason(lic, ACTION_STREAM, NOW - 101) == "NotYetValid"
 
     def test_boundaries_inclusive(self, account):
         lic = sample_license(account)
-        assert check_rights(lic, ACTION_STREAM, NOW - 100).allowed
-        assert check_rights(lic, ACTION_STREAM, NOW + 100).allowed
+        check_rights(lic, ACTION_STREAM, NOW - 100)
+        check_rights(lic, ACTION_STREAM, NOW + 100)
 
     def test_action_forbidden_wins_over_expiry(self, account):
         # Documented precedence: forbidden action reported before window.
         lic = sample_license(account)
-        decision = check_rights(lic, ACTION_RELICENSE, NOW + 5000)
-        assert decision == Decision.deny(DenyReason.ACTION_FORBIDDEN)
+        assert deny_reason(lic, ACTION_RELICENSE, NOW + 5000) == "ActionForbidden"
 
     def test_zero_use_license_always_exhausted(self, account):
         lic = sample_license(account, max_uses=0)
-        assert check_rights(lic, ACTION_STREAM, NOW) == Decision.deny(
-            DenyReason.USES_EXHAUSTED)
+        assert deny_reason(lic, ACTION_STREAM, NOW) == "UsesExhausted"
 
     def test_monotonic_once_exhausted(self, account):
         lic = sample_license(account, max_uses=3)
         for _ in range(3):
-            assert check_rights(lic, ACTION_STREAM, NOW).allowed
+            lic = check_rights(lic, ACTION_STREAM, NOW)
         for later in range(0, 200, 17):
-            assert not check_rights(lic, ACTION_STREAM, NOW + later).allowed
+            with pytest.raises(RightsDenied):
+                check_rights(lic, ACTION_STREAM, NOW + later)
 
     def test_redeem_denied_without_key_release(self, account):
         lic = sample_license(account)
@@ -239,8 +249,7 @@ class TestLicenseSerialization:
     def test_json_round_trip_keeps_uses(self, account, tmp_path):
         # The persisted license file is JSON: the canonical record plus the
         # use counter, which the canonical bytes do not carry.
-        lic = sample_license(account, max_uses=5)
-        check_rights(lic, ACTION_STREAM, NOW)
+        lic = check_rights(sample_license(account, max_uses=5), ACTION_STREAM, NOW)
         state = StateDirectory(tmp_path / "state")
         state.initialize(Config())
         state.save_license(lic)
@@ -253,15 +262,13 @@ class TestLicenseSerialization:
         assert again.uses_consumed == 1
 
     def test_tampered_hash_rejected(self, account):
-        lic = sample_license(account)
-        lic.license_hash = digest(b"forged")
+        lic = sample_license(account).replace(license_hash=digest(b"forged"))
         with pytest.raises(ValueError):
             License.from_canonical_bytes(lic.canonical_bytes())
 
     def test_tampered_consumer_rejected(self, account):
-        lic = sample_license(account)
-        lic.consumer_id = "mallory-rival"
-        lic.license_hash = lic.compute_hash()
+        lic = sample_license(account).replace(consumer_id="mallory-rival")
+        lic = lic.replace(license_hash=lic.compute_hash())
         # Hash recomputes, but the fingerprint no longer matches the id.
         with pytest.raises(ValueError):
             License.from_canonical_bytes(lic.canonical_bytes())
@@ -354,8 +361,8 @@ class TestExecutePurchase:
     def test_license_unlocks_the_upload(self, identity, account, world):
         from skyvault.storage import download_with_key
         result = self._purchase(identity, account, world)
-        key = redeem_license(CONSUMER.private_key, result.license,
-                             ACTION_DOWNLOAD, NOW)
+        _, key = redeem_license(CONSUMER.private_key, result.license,
+                                ACTION_DOWNLOAD, NOW)
         assert download_with_key(world["link"], world["network"], key) == world["data"]
 
     def test_expired_session_rejected(self, identity, account, world, clock):
@@ -398,13 +405,13 @@ class TestRuleEvaluatorOracle:
             out = []
             for action, now in calls:
                 if action not in actions_allowed:
-                    out.append(DenyReason.ACTION_FORBIDDEN)
+                    out.append("ActionForbidden")
                 elif now < rules.not_before:
-                    out.append(DenyReason.NOT_YET_VALID)
+                    out.append("NotYetValid")
                 elif now > rules.not_after:
-                    out.append(DenyReason.EXPIRED)
+                    out.append("Expired")
                 elif rules.max_uses is not None and used >= rules.max_uses:
-                    out.append(DenyReason.USES_EXHAUSTED)
+                    out.append("UsesExhausted")
                 else:
                     used += 1
                     out.append(None)
@@ -423,6 +430,12 @@ class TestRuleEvaluatorOracle:
             calls = [(rng.choice(action_pool), NOW + rng.randint(-80, 160))
                      for _ in range(rng.randint(1, 25))]
             expected = oracle(rules, allowed, calls)
-            got = [check_rights(lic, action, now).reason for action, now in calls]
+            got = []
+            for action, now in calls:
+                try:
+                    lic = check_rights(lic, action, now)
+                    got.append(None)
+                except RightsDenied as exc:
+                    got.append(exc.reason)
             assert got == expected
             total_calls += len(calls)

@@ -43,6 +43,19 @@ class TestConfig:
         with pytest.raises(BadConfig):
             Config.from_text("chunk_size=lots\n")
 
+    @pytest.mark.parametrize("value", ["+1_024", "1_024", "\u0661\u0660\u0662\u0664",
+                                       "\uff11\uff10\uff12\uff14"])
+    def test_not_ascii_decimal_rejected(self, value):
+        # int() alone read "+1_024" and the Arabic-Indic and full-width
+        # digits of 1024 as 1024.
+        with pytest.raises(BadConfig, match="line 2: chunk_size must be an integer"):
+            Config.from_text(f"# tuned\nchunk_size={value}\n")
+
+    def test_setting_given_twice_rejected(self):
+        # The last one won: this loaded as 2048.
+        with pytest.raises(BadConfig, match="line 3: chunk_size is set twice"):
+            Config.from_text("chunk_size=1024\nhost_count=7\nchunk_size=2048\n")
+
     def test_nonpositive_rejected(self):
         with pytest.raises(BadConfig):
             Config(chunk_size=0)
@@ -152,7 +165,7 @@ class TestStateDirectory:
         lic = issue_license(generate_keypair(), account, digest(b"content"),
                             b"\x09" * 32, KeyRules(0, 10**10, 3),
                             Rights.default(), now=5)
-        assert check_rights(lic, "stream", now=6).allowed
+        lic = check_rights(lic, "stream", now=6)
         state.save_license(lic)
         assert state.load_license(lic.license_id) == lic
         assert state.load_license(lic.license_id).uses_consumed == 1
