@@ -274,21 +274,20 @@ def play(world, skylink, out, action):
 @main.command("hls-package")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("outdir", type=click.Path(file_okay=False))
-@click.option("--key-out", type=click.Path(dir_okay=False), default=None,
+@click.option("--key-out", type=click.Path(dir_okay=False), required=True,
               help="Write the key here; must not live inside OUTDIR.")
 @with_world
 def hls_package(world, file, outdir, key_out):
     """Encrypt FILE into HLS segments of the state's segment_bytes (set by
-    init) plus an M3U8 playlist in OUTDIR."""
-    if key_out and Path(outdir).resolve() in Path(key_out).resolve().parents:
+    init) plus an M3U8 playlist in OUTDIR; the key goes to --key-out only."""
+    if Path(outdir).resolve() in Path(key_out).resolve().parents:
         raise click.UsageError("--key-out must not point inside OUTDIR")
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
     pkg = package(media, key, segment_bytes=world.config.segment_bytes)
-    if key_out:  # first: a package whose key was lost could never be played
-        with _open_out(key_out) as handle:
-            handle.write(key)
+    with _open_out(key_out) as handle:  # first: a package without its key is lost
+        handle.write(key)
     _open_out(outdir, lambda out: write_package(pkg, out))
     click.echo(f"Packaged {len(pkg.segments)} segments into {outdir}")
 
@@ -349,8 +348,8 @@ def _bind_address(ctx, param, value):
 def serve(state_root, bind):
     """Run the identity endpoints as an HTTP JSON service.
 
-    Only the accounts and the session key are loaded. Each registration
-    is checked against the accounts on disk and saved as it happens,
+    Only the accounts and the session key are loaded; an id not loaded is
+    read from its account file. Each registration is saved as it happens,
     under the state's lock. A login writes nothing: its token carries its
     own proof, and the CLI accepts it until it expires, server or not.
     """
@@ -359,13 +358,7 @@ def serve(state_root, bind):
         identity = load_identity(state, state.load_config(), time.time)
 
     def register(id, password, public_key):
-        # Accounts other commands saved since the load come in first, so
-        # that an id taken meanwhile is a duplicate here too.
         with state.locked():
-            known = {account.id for account in identity.accounts()}
-            for account in state.load_accounts():
-                if account.id not in known:
-                    identity.restore_account(account)
             account = identity.register(id, password, public_key)
             state.save_account(account)
             return account

@@ -114,7 +114,6 @@ class Envelope(Record):
 class Credential(Record):
     """Registration credential: the verifier goes to the server, never the password."""
 
-    id: str
     verifier: Digest
 
 
@@ -134,7 +133,7 @@ def derive_credential(id: str, password: str) -> Credential:
         raise EmptyPassword("password must be non-empty")
     inner = digest(id.encode("utf-8"))
     verifier = digest(password.encode("utf-8") + inner.value)
-    return Credential(id=id, verifier=verifier)
+    return Credential(verifier=verifier)
 
 
 def generate_keypair(seed: bytes | None = None) -> KeyPair:

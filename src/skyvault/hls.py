@@ -4,8 +4,9 @@ Media is treated as opaque bytes. Each segment is AES-128-CBC encrypted
 with PKCS#7 padding; the IV is the segment's sequence number as a
 16-octet big-endian integer, which players apply by default when the
 #EXT-X-KEY tag carries no IV attribute. One key covers the whole
-package, and the playlist's key URI points at the licensing flow
-rather than a file: the key itself is never written next to segments.
+package. The playlist's key URI is the fixed placeholder ``KEY_URI``:
+no license carries the HLS key, and it is never written next to the
+segments (``hls-package`` writes it only to its required ``--key-out``).
 
 Playlist grammar enforced here (the mandatory-tag subset for media
 playlists, plus ordering):
@@ -41,7 +42,7 @@ from .wire import Record
 
 DEFAULT_SEGMENT_BYTES = 1048576
 DEFAULT_DURATION_HINT = 6.0
-DEFAULT_KEY_URI = "skydrm://license/pending"
+KEY_URI = "skydrm://license/pending"
 HLS_KEY_SIZE = 16
 MEDIA_SEQUENCE_BASE = 0
 
@@ -56,7 +57,6 @@ class Segment(Record):
 class HlsPackage(Record):
     media_playlist: str
     segments: tuple[Segment, ...]
-    key_uri: str
     key: Optional[bytes]
 
 
@@ -88,8 +88,8 @@ def segment_name(sequence: int) -> str:
     return f"seg{sequence}.ts"
 
 
-def package(media: bytes, key: bytes, segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-            key_uri: str = DEFAULT_KEY_URI) -> HlsPackage:
+def package(media: bytes, key: bytes,
+            segment_bytes: int = DEFAULT_SEGMENT_BYTES) -> HlsPackage:
     """Split, encrypt, and describe media as an HLS rendition."""
     if not media:
         raise EmptyMedia("no media bytes to package")
@@ -108,7 +108,7 @@ def package(media: bytes, key: bytes, segment_bytes: int = DEFAULT_SEGMENT_BYTES
         "#EXT-X-VERSION:3",
         f"#EXT-X-TARGETDURATION:{math.ceil(DEFAULT_DURATION_HINT)}",
         f"#EXT-X-MEDIA-SEQUENCE:{MEDIA_SEQUENCE_BASE}",
-        f'#EXT-X-KEY:METHOD=AES-128,URI="{key_uri}"',
+        f'#EXT-X-KEY:METHOD=AES-128,URI="{KEY_URI}"',
     ]
     for segment in segments:
         lines.append(f"#EXTINF:{DEFAULT_DURATION_HINT:.1f},")
@@ -117,7 +117,6 @@ def package(media: bytes, key: bytes, segment_bytes: int = DEFAULT_SEGMENT_BYTES
     return HlsPackage(
         media_playlist="\n".join(lines) + "\n",
         segments=segments,
-        key_uri=key_uri,
         key=key,
     )
 
@@ -255,6 +254,5 @@ def read_package(outdir, key: bytes | None = None) -> HlsPackage:
     return HlsPackage(
         media_playlist=playlist,
         segments=tuple(segments),
-        key_uri=parsed.key_uri,
         key=key,
     )

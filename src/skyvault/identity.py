@@ -135,12 +135,14 @@ def solve_challenge(sealed_nonce: Envelope, private_key: bytes, verifier: Digest
 
 class IdentityService:
     """Accounts and challenges behind one lock. Without SESSION_KEY, a
-    random key is used, and only this service accepts its tokens."""
+    random key is used, and only this service accepts its tokens. An id
+    not held is asked of FIND_ACCOUNT (an account or None) and kept."""
 
     def __init__(self, clock: Callable[[], int] | None = None,
                  challenge_ttl: int = CHALLENGE_TTL_DEFAULT,
                  session_ttl: int = SESSION_TTL_DEFAULT,
-                 session_key: bytes | None = None):
+                 session_key: bytes | None = None,
+                 find_account: Callable[[str], Account | None] = lambda id: None):
         self._clock = clock or (lambda: int(time.time()))
         self._challenge_ttl = challenge_ttl
         self._session_ttl = session_ttl
@@ -148,6 +150,7 @@ class IdentityService:
         # token re-keys, and slows down when two threads call it at once.
         self._mac = hmac.new(session_key or os.urandom(SESSION_KEY_SIZE),
                              digestmod="sha256")
+        self._find_account = find_account
         self._lock = threading.Lock()
         self._accounts: dict[str, Account] = {}
         # In issue order, so expired challenges sit at the front. An
@@ -164,6 +167,7 @@ class IdentityService:
         if len(public_key) != 32:
             raise BadKeyLength(f"public key must be 32 bytes, got {len(public_key)}")
         credential = derive_credential(id, password)
+        self._known(id)  # so an account saved elsewhere is a duplicate below
         with self._lock:
             if id in self._accounts:
                 raise DuplicateId(f"account already registered: {id}")
@@ -243,11 +247,22 @@ class IdentityService:
     # -- lookups and persistence ------------------------------------------
 
     def get_account(self, id: str) -> Account:
+        account = self._known(id)
+        if account is None:
+            raise UnknownId(f"no such account: {id}")
+        return account
+
+    def _known(self, id: str) -> Account | None:
+        """The account held under ID or, failing that, the one
+        ``find_account`` returns, which is then held."""
         with self._lock:
             account = self._accounts.get(id)
-            if account is None:
-                raise UnknownId(f"no such account: {id}")
-            return account
+        if account is None:
+            account = self._find_account(id)
+            if account is not None:
+                with self._lock:  # two threads may find one account at once
+                    account = self._accounts.setdefault(id, account)
+        return account
 
     def accounts(self) -> list[Account]:
         with self._lock:

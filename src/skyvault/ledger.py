@@ -150,10 +150,6 @@ class Block(Record):
     transactions: tuple[Transaction, ...]
     block_hash: Digest
 
-    @property
-    def tx_ids(self) -> tuple[Digest, ...]:
-        return tuple(tx.tx_id for tx in self.transactions)
-
     def header_bytes(self) -> bytes:
         return block_header_bytes(self.height, self.prev_hash, self.tx_root,
                                   self.timestamp, self.nonce)
@@ -230,6 +226,7 @@ def _raw_tx_root(raw_tx_ids) -> bytes:
 class Chain:
     """Single-node chain: one writer at a time, read-only verification.
 
+    A chain starts empty; ``mine`` and ``load_chain`` add its blocks.
     ``blocks`` is the mined history; ``pending`` holds admitted
     transactions awaiting the next block, drained FIFO by mine.
     A loaded chain keeps its records as checked fields (``_unbuilt``)
@@ -237,17 +234,15 @@ class Chain:
     """
 
     def __init__(self, difficulty_bits: int = DEFAULT_DIFFICULTY_BITS,
-                 clock: Callable[[], float] = time.time,
-                 blocks: list[Block] | None = None):
+                 clock: Callable[[], float] = time.time):
         if not 0 <= difficulty_bits <= MAX_DIFFICULTY_BITS:
             raise ValueError(f"difficulty must be in 0..{MAX_DIFFICULTY_BITS}")
         self.difficulty_bits = difficulty_bits
         self.clock = clock
         self._unbuilt: list[_CheckedBlock] = []  # the oldest blocks, not built yet
-        self._blocks: list[Block] = blocks if blocks is not None else []
+        self._blocks: list[Block] = []
         self.pending: list[Transaction] = []
-        self._seen: set[bytes] = {
-            tx.tx_id.value for block in self._blocks for tx in block.transactions}
+        self._seen: set[bytes] = set()
 
     @property
     def blocks(self) -> list[Block]:

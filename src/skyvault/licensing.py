@@ -49,12 +49,13 @@ from .errors import (
     LedgerRejected,
     NotAuthenticated,
     RightsDenied,
+    SkyVaultError,
     UnknownAction,
     UnknownContent,
     UnknownSkylink,
 )
 from .identity import Account, IdentityService, SessionToken
-from .ledger import Chain, Transaction, make_transaction
+from .ledger import Chain, make_transaction
 from .storage import SkyLink, StorageNetwork, open_file_key
 from .wire import Record, pack_fields, read_u64, u64, unpack_fields
 
@@ -239,7 +240,6 @@ class PurchaseResult(Record):
     license: License
     sealed_secret_block: Envelope
     tx_id: Digest
-    transaction: Transaction
 
 
 def consumer_fingerprint(consumer_id: str, content_id: Digest) -> Digest:
@@ -355,7 +355,6 @@ def execute_purchase(identity: IdentityService, session_token: SessionToken,
     )
     try:
         chain.submit(tx, provider.public_key)
-    except Exception as exc:
+    except SkyVaultError as exc:
         raise LedgerRejected(f"chain refused the transaction: {exc}") from exc
-    return PurchaseResult(license=license, sealed_secret_block=sealed,
-                          tx_id=tx.tx_id, transaction=tx)
+    return PurchaseResult(license=license, sealed_secret_block=sealed, tx_id=tx.tx_id)

@@ -449,6 +449,16 @@ class TestHlsCommand:
         for path in outdir.iterdir():
             assert key not in path.read_bytes()
 
+    def test_key_out_required(self, runner, root, tmp_path):
+        # Without it the random key would be lost, and the package with it.
+        run(runner, root, "init")
+        src = tmp_path / "m.bin"
+        src.write_bytes(b"media bytes")
+        outdir = tmp_path / "hls"
+        result = run(runner, root, "hls-package", str(src), str(outdir), expect=2)
+        assert "--key-out" in result.stderr_bytes.decode()
+        assert not outdir.exists()
+
     def test_key_out_inside_outdir_refused(self, runner, root, tmp_path):
         run(runner, root, "init")
         src = tmp_path / "m.bin"
@@ -897,7 +907,8 @@ class TestBadInput:
             ["hls-package", "{media}", "{tmp}/hls", "--key-out", "{tmp}/missing/k"],
             1, "output_unwritable"),
         "package below a regular file": (
-            ["hls-package", "{media}", "{media}/hls"], 1, "output_unwritable"),
+            ["hls-package", "{media}", "{media}/hls", "--key-out", "{tmp}/k"],
+            1, "output_unwritable"),
         "play a non-skylink": (["play", "notalink", "{tmp}/o.bin"], 1, "unknown_skylink"),
         "play a short skylink": (["play", "sia://AAAA", "{tmp}/o.bin"],
                                  1, "unknown_skylink"),
@@ -1211,6 +1222,20 @@ class TestServe:
         assert proc.returncode == 0, proc.stderr.read()
         assert account_file.read_bytes() == saved
         run(runner, root, "login", "dave-viewer", "--password", PASSWORD)
+
+    def test_account_registered_since_start_logs_in(self, runner, root):
+        run(runner, root, "init")
+        with _serving(root) as (proc, url):
+            run(runner, root, "register", "dave-viewer", "--password", PASSWORD)
+            keypair = StateDirectory(root).load_keypair("dave-viewer")
+            assert _http_login(url, "dave-viewer", keypair)["account_id"] == "dave-viewer"
+            # No account file, or an id that names none, is still an unknown id.
+            for id in ("erin-viewer", "../keys/dave-viewer"):
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    _post(url + "/auth/begin", {"id": id})
+                assert refused.value.code == 404
+                assert json.loads(refused.value.read())["error"] == "unknown_id"
+        assert proc.returncode == 0, proc.stderr.read()
 
     def test_busy_address_is_a_json_error(self, runner, root):
         run(runner, root, "init")

@@ -12,6 +12,7 @@ from skyvault.errors import (
     PaddingError,
 )
 from skyvault.hls import (
+    KEY_URI,
     HlsPackage,
     decrypt_segment,
     encrypt_segment,
@@ -50,13 +51,13 @@ class TestPackage:
             assert len(segment.ciphertext) > plain_len
 
     def test_mandatory_tags_present(self):
-        pkg = package(b"tiny media", KEY, key_uri="skydrm://license/abc")
+        pkg = package(b"tiny media", KEY)
         lines = pkg.media_playlist.splitlines()
         assert lines[0] == "#EXTM3U"
         assert "#EXT-X-VERSION:3" in lines
         assert "#EXT-X-TARGETDURATION:6" in lines
         assert "#EXT-X-MEDIA-SEQUENCE:0" in lines
-        assert '#EXT-X-KEY:METHOD=AES-128,URI="skydrm://license/abc"' in lines
+        assert f'#EXT-X-KEY:METHOD=AES-128,URI="{KEY_URI}"' in lines
         assert lines[-1] == "#EXT-X-ENDLIST"
 
     def test_empty_media_rejected(self):
@@ -179,11 +180,11 @@ class TestPlaylistGrammar:
 class TestDiskLayout:
     def test_write_read_round_trip(self, tmp_path, rng):
         media = rng.randbytes(4 * MIB)
-        pkg = package(media, KEY, key_uri="skydrm://license/deadbeef")
+        pkg = package(media, KEY)
         write_package(pkg, tmp_path / "out")
         again = read_package(tmp_path / "out")
         assert again.key is None
-        assert again.key_uri == "skydrm://license/deadbeef"
+        assert validate_media_playlist(again.media_playlist).key_uri == KEY_URI
         assert unpackage(again, KEY) == media
 
     def test_key_never_written(self, tmp_path, rng):

@@ -321,6 +321,60 @@ class TestSessions:
         assert grown < 1 << 20, grown
 
 
+class TestFindAccount:
+    """An id not held is asked of ``find_account``; what it finds is held."""
+
+    @pytest.fixture
+    def stored(self, alice):
+        return Account("alice", digest_of_credential("alice", "hunter2abc"),
+                       alice.public_key, 1)
+
+    def test_found_account_logs_in_and_is_asked_once(self, clock, alice, stored):
+        asked = []
+
+        def find(id):
+            asked.append(id)
+            return stored if id == "alice" else None
+
+        service = IdentityService(clock=clock, find_account=find)
+        for _ in range(2):
+            assert login(service, "alice", alice, "hunter2abc").account_id == "alice"
+        with pytest.raises(UnknownId):
+            service.begin_auth("nobody")
+        assert asked == ["alice", "nobody"]
+
+    def test_found_account_is_a_duplicate(self, clock, alice, stored):
+        service = IdentityService(clock=clock, find_account=lambda id: stored)
+        with pytest.raises(DuplicateId):
+            service.register("alice", "another password", generate_keypair().public_key)
+        assert service.get_account("alice") == stored
+
+    def test_two_threads_finding_one_account_both_succeed(self, clock, stored):
+        both_missed = threading.Barrier(2)
+
+        def find(id):
+            both_missed.wait(timeout=10)
+            return stored
+
+        service = IdentityService(clock=clock, find_account=find)
+        found, errors = [], []
+
+        def get():
+            try:
+                found.append(service.get_account("alice"))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=get) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert found == [stored, stored]
+
+
 class TestPersistenceFormats:
     def test_account_json_round_trip(self, service, alice):
         account = service.register("alice", "hunter2abc", alice.public_key)

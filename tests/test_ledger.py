@@ -43,6 +43,13 @@ def sample_tx(clock, salt: bytes = b"", provider=PROVIDER) -> Transaction:
     )
 
 
+def _chain_file(block: Block) -> bytes:
+    """A chain file of BLOCK alone, which no mine() made."""
+    chain = Chain()
+    chain.blocks.append(block)
+    return serialize_chain(chain)
+
+
 @pytest.fixture
 def chain(clock):
     return Chain(difficulty_bits=8, clock=clock)
@@ -148,7 +155,7 @@ class TestMining:
             chain.submit(tx, PROVIDER.public_key)
         block = chain.mine()
         assert chain.pending == []
-        assert block.tx_ids == tuple(tx.tx_id for tx in txs)
+        assert block.transactions == tuple(txs)
 
     def test_genesis_prev_hash_is_zeroes(self, chain, clock):
         chain.submit(sample_tx(clock), PROVIDER.public_key)
@@ -335,14 +342,14 @@ class TestSerialization:
         block = mined_chain(clock, n_blocks=1).blocks[0]
         forged_block = block.replace(transactions=(forged,))
         with pytest.raises(ChainCorrupt, match="transaction id"):
-            parse_chain(serialize_chain(Chain(blocks=[forged_block])))
+            parse_chain(_chain_file(forged_block))
 
     def test_stale_tx_root_rejected_behind_good_checksum(self, clock):
         block = mined_chain(clock, n_blocks=1).blocks[0]
         forged = block.replace(tx_root=digest(b"another root"))
         forged = forged.replace(block_hash=digest(forged.header_bytes()))
         with pytest.raises(ChainCorrupt, match="tx_root"):
-            parse_chain(serialize_chain(Chain(blocks=[forged])))
+            parse_chain(_chain_file(forged))
 
     @pytest.mark.parametrize("field", ["content_commitment", "prev_hash"])
     def test_short_digest_field_rejected_behind_good_checksum(self, clock, field):
@@ -386,7 +393,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="block hash"):
             Block.from_bytes(forged.to_bytes())
         with pytest.raises(ChainCorrupt, match="block hash"):
-            parse_chain(serialize_chain(Chain(blocks=[forged])))
+            parse_chain(_chain_file(forged))
 
     def test_tx_root_covers_order(self, clock):
         a, b = digest(b"a"), digest(b"b")

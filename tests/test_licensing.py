@@ -388,9 +388,18 @@ class TestExecutePurchase:
             self._purchase(identity, account, world, now=NOW - 10_000)
         assert world["chain"].pending == []
 
+    def test_fault_in_submit_is_not_a_ledger_rejection(self, identity, account, world,
+                                                        monkeypatch):
+        # Only the chain's refusals become LedgerRejected; a fault stays itself.
+        def broken_submit(chain, tx, provider_public):
+            raise RuntimeError("fault in submit")
+        monkeypatch.setattr(Chain, "submit", broken_submit)
+        with pytest.raises(RuntimeError, match="fault in submit"):
+            self._purchase(identity, account, world)
+
     def test_tx_carries_only_fingerprints(self, identity, account, world):
         result = self._purchase(identity, account, world)
-        body = result.transaction.to_bytes()
+        body = world["chain"].pending[-1].to_bytes()
         assert account.id.encode() not in body
         assert account.public_key not in body
         assert b"Example Feature" not in body

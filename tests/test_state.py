@@ -136,6 +136,21 @@ class TestStateDirectory:
         assert not list(tmp_path.rglob("escaped*"))
         assert load_world(state.root).identity.accounts() == []
 
+    def test_account_saved_after_load_is_found(self, state):
+        # A loaded world finds an account another one saved since, by its
+        # one file; no file, or an id that names none, finds nothing.
+        world = load_world(state.root)
+        other = load_world(state.root)
+        keypair = generate_keypair()
+        state.save_keypair("alice-consumer", keypair)
+        state.save_account(other.identity.register(
+            "alice-consumer", "sturdy password", keypair.public_key))
+        assert world.identity.begin_auth("alice-consumer").account_id == "alice-consumer"
+        assert state.find_account("alice-consumer") == other.identity.get_account(
+            "alice-consumer")
+        for id in ("bob-consumer", "../keys/alice-consumer"):
+            assert state.find_account(id) is None
+
     def test_network_round_trip(self, state, rng):
         world = load_world(state.root)
         uploader = generate_keypair()

@@ -26,7 +26,7 @@ VALUES = [
     D,
     KeyPair(b"p" * 32, b"s" * 32),
     ENVELOPE,
-    Credential("alice", D),
+    Credential(D),
     PACKAGE.segments[0],
     PACKAGE,
     validate_media_playlist(PACKAGE.media_playlist),
@@ -39,7 +39,7 @@ VALUES = [
     Rights(frozenset({"stream", "download"})),
     LICENSE,
     SecretBlock(D, D, 3, D, "studio", ENVELOPE, D),
-    PurchaseResult(LICENSE, ENVELOPE, D, TX),
+    PurchaseResult(LICENSE, ENVELOPE, D),
     Config(),
     World(StateDirectory("state"), Config(), None, None, None),
     CHUNK,
