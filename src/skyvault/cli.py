@@ -69,12 +69,12 @@ def with_world(fn):
     return wrapper
 
 
-def _open_out(path, write=lambda path: open(path, "wb")):
-    """``write(path)``, by default PATH opened for writing (``open`` is
-    looked up at the call, so a replaced ``cli.open`` is used); a PATH
-    that cannot be written is ``OutputUnwritable``."""
+def _open_out(path):
+    """PATH opened for writing (``open`` is looked up at the call, so a
+    replaced ``cli.open`` is used); a PATH that cannot be written is
+    ``OutputUnwritable``."""
     try:
-        return write(path)
+        return open(path, "wb")
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc.strerror}") from None
 
@@ -279,16 +279,22 @@ def play(world, skylink, out, action):
 @with_world
 def hls_package(world, file, outdir, key_out):
     """Encrypt FILE into HLS segments of the state's segment_bytes (set by
-    init) plus an M3U8 playlist in OUTDIR; the key goes to --key-out only."""
+    init) plus an M3U8 playlist in a new or empty OUTDIR; the key goes to --key-out only."""
     if Path(outdir).resolve() in Path(key_out).resolve().parents:
         raise click.UsageError("--key-out must not point inside OUTDIR")
+    if Path(outdir).is_dir() and any(Path(outdir).iterdir()):  # old segments would stay
+        raise OutputUnwritable(f"cannot write {outdir}: directory is not empty")
     with open(file, "rb") as handle:
         media = handle.read()
     key = os.urandom(16)
     pkg = package(media, key, segment_bytes=world.config.segment_bytes)
     with _open_out(key_out) as handle:  # first: a package without its key is lost
         handle.write(key)
-    _open_out(outdir, lambda out: write_package(pkg, out))
+    try:
+        write_package(pkg, outdir)
+    except OSError as exc:
+        os.remove(key_out)  # it would name no package
+        raise OutputUnwritable(f"cannot write {outdir}: {exc.strerror}") from None
     click.echo(f"Packaged {len(pkg.segments)} segments into {outdir}")
 
 
@@ -348,8 +354,8 @@ def _bind_address(ctx, param, value):
 def serve(state_root, bind):
     """Run the identity endpoints as an HTTP JSON service.
 
-    Only the accounts and the session key are loaded; an id not loaded is
-    read from its account file. Each registration is saved as it happens,
+    Only the session key is loaded; each account file is read the first
+    time its id is asked for. Each registration is saved as it happens,
     under the state's lock. A login writes nothing: its token carries its
     own proof, and the CLI accepts it until it expires, server or not.
     """

@@ -136,7 +136,8 @@ def solve_challenge(sealed_nonce: Envelope, private_key: bytes, verifier: Digest
 class IdentityService:
     """Accounts and challenges behind one lock. Without SESSION_KEY, a
     random key is used, and only this service accepts its tokens. An id
-    not held is asked of FIND_ACCOUNT (an account or None) and kept."""
+    not held is asked of FIND_ACCOUNT (an account or None) and kept: it
+    is the one way an account saved elsewhere comes in."""
 
     def __init__(self, clock: Callable[[], int] | None = None,
                  challenge_ttl: int = CHALLENGE_TTL_DEFAULT,
@@ -265,12 +266,6 @@ class IdentityService:
         return account
 
     def accounts(self) -> list[Account]:
+        """The accounts registered or found here, not every one saved."""
         with self._lock:
             return list(self._accounts.values())
-
-    def restore_account(self, account: Account):
-        """Load a persisted account; duplicate ids still raise."""
-        with self._lock:
-            if account.id in self._accounts:
-                raise DuplicateId(f"account already registered: {account.id}")
-            self._accounts[account.id] = account

@@ -44,14 +44,16 @@ bulk save for a world built through the library; no command calls it.
 
 Commands on one state run one at a time: each holds
 ``StateDirectory.locked`` from before it loads until after it writes.
-``serve`` loads only the accounts and the session key. It holds the
-lock only to load them and to register an account, nothing else: its
+An account file is read only when its id is first asked for: ``login``,
+``buy`` and ``register`` read the file of the id they name, and no other
+command reads one. ``serve`` loads only the session key. It holds the
+lock only to load it and to register an account, nothing else: its
 sessions are tokens that carry their own proof, so it has none to save.
-An id it has not loaded is read from its one account file when asked for.
 
 Every loader reads through ``_load``: a missing file is ``StateMissing``
 and one that does not decode is ``StateCorrupt``, each naming the file,
-so a damaged state ends a command with its JSON error, not a traceback.
+so a damaged state ends a command with its JSON error, not a traceback;
+a damaged account file ends only the commands that read it.
 Fragments are the exception: their bytes are not decoded, so a fragment
 file must only be named by a digest, and a damaged one is found by that
 digest when it is fetched. Names become paths only once checked: an
@@ -203,16 +205,15 @@ class StateDirectory:
     def save_account(self, account: Account):
         _write_json(self.accounts_dir / f"{account.id}.json", account.to_json())
 
-    def load_accounts(self) -> list[Account]:
-        return [_read_account(path) for path in sorted(self.accounts_dir.glob("*.json"))]
-
     def find_account(self, id: str) -> Account | None:
         """The account saved under ID; None if ID breaks the id rule or has no file."""
         try:
             path = self.accounts_dir / f"{check_id(id)}.json"
         except BadIdentifier:
             return None
-        return _read_account(path) if path.is_file() else None
+        if not path.is_file():
+            return None
+        return _load(path, lambda data: _decode_account(path.stem, _json(data)))
 
     def load_session_key(self) -> bytes:
         return _load(self.session_key_path, _decode_session_key)
@@ -394,10 +395,6 @@ def _check_filed(kind: str, stem: str, id: str):
         raise ValueError(f"{kind} file {stem}.json does not match its record")
 
 
-def _read_account(path: Path) -> Account:
-    return _load(path, lambda data: _decode_account(path.stem, _json(data)))
-
-
 def _decode_account(stem: str, payload) -> Account:
     account = Account.from_json(_shaped(
         payload, {"id": str, "verifier": str, "public_key": str, "created_at": int}))
@@ -453,16 +450,13 @@ class World(Record):
 
 def load_identity(state: StateDirectory, config: Config,
                   clock: Callable[[], float]) -> IdentityService:
-    """The accounts and the session key: all of the state that ``serve``
-    reads. An id not loaded is looked up with ``find_account``."""
-    identity = IdentityService(clock=lambda: int(clock()),
-                               challenge_ttl=config.challenge_ttl,
-                               session_ttl=config.session_ttl,
-                               session_key=state.load_session_key(),
-                               find_account=state.find_account)
-    for account in state.load_accounts():
-        identity.restore_account(account)
-    return identity
+    """The identity service over the session key, all that ``serve`` loads;
+    each account file is read by ``find_account`` when its id is first asked for."""
+    return IdentityService(clock=lambda: int(clock()),
+                           challenge_ttl=config.challenge_ttl,
+                           session_ttl=config.session_ttl,
+                           session_key=state.load_session_key(),
+                           find_account=state.find_account)
 
 
 def load_world(root, clock: Callable[[], float] = time.time) -> World:

@@ -341,7 +341,8 @@ class TestDamagedState:
         # key, alice's key file made bob-viewer's login open_failed, naming
         # no file.
         root = _copy(purchased, tmp_path)
-        command = ["host", "list"]
+        # Registering bob-viewer reads bob-viewer's account file.
+        command = ["register", "bob-viewer", "--password", PASSWORD]
         if directory == "keys":  # only a login as bob-viewer loads the key
             run(runner, root, "register", "bob-viewer", "--password", PASSWORD)
             command = ["login", "bob-viewer", "--password", PASSWORD]
@@ -357,7 +358,7 @@ class TestDamagedState:
         assert str(bob) in error["message"]
 
     @pytest.mark.parametrize("directory, field, command", [
-        ("accounts", "public_key", ["host", "list"]),
+        ("accounts", "public_key", ["login", "alice-consumer", "--password", PASSWORD]),
         ("keys", "private_key", ["login", "alice-consumer", "--password", PASSWORD]),
     ], ids=["account-public-key", "key-private-key"])
     def test_key_of_wrong_length(self, runner, purchased, tmp_path, directory, field, command):
@@ -386,7 +387,9 @@ class TestDamagedState:
             damaged = root / "accounts" / "alice-consumer.json"
             account = json.loads(damaged.read_text())
             damaged.write_text(json.dumps({**account, "verifier": account["verifier"].upper()}))
-        error = self.refused(runner, root, "host", "list")
+        # host list reads every fragment name; buy reads its consumer's account.
+        command = ["host", "list"] if where == "fragment-name" else ["buy", purchased.skylink]
+        error = self.refused(runner, root, *command)
         assert error["error"] == "state_corrupt"
         assert damaged.name in error["message"]
 
@@ -468,6 +471,27 @@ class TestHlsCommand:
                      "--key-out", str(outdir / "k.key"), expect=2)
         assert "must not point inside" in result.output + str(result.stderr_bytes)
         assert not outdir.exists()
+
+    def test_outdir_holding_files_refused(self, runner, root, tmp_path):
+        # A 1-segment package over a 4-segment one left seg1.ts-seg3.ts
+        # beside it, encrypted under the old key.
+        run(runner, root, "init", "--segment-bytes", "256")
+        outdir = tmp_path / "hls"
+        outdir.mkdir()  # an empty OUTDIR is taken
+        long, short = tmp_path / "long.bin", tmp_path / "short.bin"
+        long.write_bytes(os.urandom(1000))
+        short.write_bytes(os.urandom(100))
+        run(runner, root, "hls-package", str(long), str(outdir),
+            "--key-out", str(tmp_path / "long.key"))
+        held = {path.name: path.read_bytes() for path in outdir.iterdir()}
+        assert len(held) == 5
+        result = run(runner, root, "hls-package", str(short), str(outdir),
+                     "--key-out", str(tmp_path / "short.key"), expect=1)
+        error = stderr_json(result)
+        assert error["error"] == "output_unwritable"
+        assert str(outdir) in error["message"]
+        assert {path.name: path.read_bytes() for path in outdir.iterdir()} == held
+        assert not (tmp_path / "short.key").exists()
 
     @pytest.mark.parametrize("segment_bytes", ["0", "-5"])
     def test_nonpositive_segment_bytes_refused(self, runner, root, segment_bytes):
@@ -674,6 +698,59 @@ class TestWriteSets:
             run(runner, root, "login", "studio-prime", "--password", PASSWORD)
             command = [*command, bought.skylink, str(tmp_path / "out.bin")]
         assert files_written(root, *command) == set()
+
+
+class TestAccountReads:
+    """A command reads the account file of the id it names, and no other."""
+
+    COMMANDS = {
+        "host list": ["host", "list"],
+        "host fail": ["host", "fail", "h1"],
+        "host revive": ["host", "revive", "h1"],
+        "upload": ["upload", "{small}"],
+        "download": ["download", "{skylink}", "{tmp}/got.bin"],
+        "publish": ["publish", "{upload}", "--title", "Second"],
+        "play": ["play", "{skylink}", "{tmp}/played.bin"],
+        "verify-chain": ["verify-chain"],
+        "hls-package": ["hls-package", "{small}", "{tmp}/hls", "--key-out", "{tmp}/k"],
+        "login": ["login", "studio-prime", "--password", PASSWORD],
+        "buy": ["buy", "{skylink}"],
+        "register": ["register", "carol-viewer", "--password", PASSWORD],
+    }
+    NAMED = {"login": "studio-prime", "buy": "alice-consumer", "register": "carol-viewer"}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_reads_only_the_named_account(self, runner, purchased, tmp_path, monkeypatch,
+                                          command):
+        # Every command read every account file, so each account added
+        # made every command slower, and one damaged file failed them all.
+        root = _copy(purchased, tmp_path)
+        upload = None
+        if command in ("download", "publish"):  # as the uploader
+            run(runner, root, "login", "studio-prime", "--password", PASSWORD)
+            if command == "publish":
+                output = run(runner, root, "upload", str(purchased.small)).output
+                upload = output.split("Skylink: ")[1].strip()
+        if command == "host revive":
+            run(runner, root, "host", "fail", "h1")
+        args = [arg.format(skylink=purchased.skylink, small=purchased.small, tmp=tmp_path,
+                           upload=upload) for arg in self.COMMANDS[command]]
+        accounts, read = root / "accounts", set()
+
+        def recording(original):
+            def record(path, *rest, **kwargs):
+                if path.parent == accounts:
+                    read.add(path.name)
+                return original(path, *rest, **kwargs)
+            return record
+
+        # A lookup counts too: register looks for the file of the id it adds.
+        for name in ("is_file", "read_bytes"):
+            monkeypatch.setattr(Path, name, recording(getattr(Path, name)))
+        run(runner, root, *args)
+        monkeypatch.undo()
+        named = self.NAMED.get(command)
+        assert read == ({f"{named}.json"} if named else set())
 
 
 class TestActingAccount:
@@ -933,6 +1010,8 @@ class TestBadInput:
         else:
             assert expected in stderr
         assert not (tmp_path / "hls").exists()
+        # A key whose package could not be written names nothing, so it goes.
+        assert not (tmp_path / "k").exists()
 
 
 class TestVerifyChain:
@@ -1194,7 +1273,9 @@ class TestServe:
         assert "h1\tdown" in run(runner, root, "host", "list").output
         assert load_world(root).identity.validate_session(
             state.load_login().token) == "alice-consumer"
-        assert [a.id for a in state.load_accounts()] == ["alice-consumer", "carol-viewer"]
+        ids = sorted(path.stem for path in state.accounts_dir.glob("*.json"))
+        assert ids == ["alice-consumer", "carol-viewer"]
+        assert [state.find_account(id).id for id in ids] == ids
 
     def test_token_outlives_a_killed_server(self, runner, root, tmp_path):
         _, skylink = bootstrap(runner, root, tmp_path, size=20_000)
@@ -1237,6 +1318,25 @@ class TestServe:
                 assert json.loads(refused.value.read())["error"] == "unknown_id"
         assert proc.returncode == 0, proc.stderr.read()
 
+    def test_damaged_account_fails_only_its_own_login(self, runner, root):
+        # serve read every account file at start, so one damaged file kept
+        # it from starting at all.
+        run(runner, root, "init")
+        for id in ("alice-consumer", "carol-viewer"):
+            run(runner, root, "register", id, "--password", PASSWORD)
+        damaged = root / "accounts" / "alice-consumer.json"
+        damaged.write_bytes(damaged.read_bytes()[:20])
+        keypair = StateDirectory(root).load_keypair("carol-viewer")
+        with _serving(root) as (proc, url):
+            assert _http_login(url, "carol-viewer", keypair)["account_id"] == "carol-viewer"
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                _post(url + "/auth/begin", {"id": "alice-consumer"})
+            assert refused.value.code == 400
+            error = json.loads(refused.value.read())
+            assert error["error"] == "state_corrupt"
+            assert str(damaged) in error["message"]
+        assert proc.returncode == 0, proc.stderr.read()
+
     def test_busy_address_is_a_json_error(self, runner, root):
         run(runner, root, "init")
         with socket.socket() as holder:
@@ -1254,7 +1354,7 @@ class TestServe:
         assert f"127.0.0.1:{port}" in payload["message"]
 
     def test_memory_does_not_grow_with_stored_bytes(self, runner, tmp_path):
-        # serve reads the accounts and the session key only, never the fragments.
+        # serve reads the session key and the accounts asked for, never the fragments.
         peaks = []
         for stored in (0, 8 << 20):
             root = tmp_path / f"state-{stored}"
@@ -1277,9 +1377,8 @@ class TestServe:
         keypair = generate_keypair()
         _post(url + "/register", {"id": "carol-viewer", "password": PASSWORD,
                                   "public_key": b64u(keypair.public_key)})
-        assert (state.accounts_dir / "carol-viewer.json").is_file()
-        assert [a.id for a in state.load_accounts()] == ["carol-viewer"]
-        assert state.load_accounts()[0].public_key == keypair.public_key
+        assert os.listdir(state.accounts_dir) == ["carol-viewer.json"]
+        assert state.find_account("carol-viewer").public_key == keypair.public_key
 
         # A login writes nothing while the server runs.
         before = file_stats(state.root)

@@ -544,7 +544,7 @@ LICENSE_JSON = json.loads(_license_file(LICENSE, 2))
 @given(_object_edits(ACCOUNT_JSON))
 def test_account_file(state, value):
     loads_as_written(state.accounts_dir / "alice-consumer.json", value,
-                     lambda: state.load_accounts()[0], state.save_account)
+                     lambda: state.find_account("alice-consumer"), state.save_account)
 
 
 @PROPERTY

@@ -389,9 +389,8 @@ class TestPersistenceFormats:
         # A reloaded service needs the key, and no table, to accept a token.
         key = os.urandom(32)
         service = IdentityService(clock=clock, session_key=key)
-        account = service.register("alice", "hunter2abc", alice.public_key)
+        service.register("alice", "hunter2abc", alice.public_key)
         session = login(service, "alice", alice, "hunter2abc")
         reloaded = IdentityService(clock=clock, session_key=key)
-        reloaded.restore_account(Account.from_json(account.to_json()))
         token = SessionToken.from_json(session.to_json()).token
         assert reloaded.validate_session(token) == "alice"
